@@ -24,7 +24,6 @@
 //! the numbers — batches stay bit-identical at any worker count.
 
 use crate::config::EngineConfig;
-use crate::metrics::ReplicationTelemetry;
 use crate::replicate::ClassVotes;
 use crate::rng::replication_rng;
 use crate::stats::Estimate;
@@ -34,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use swarm::coded::{theorem15_classify, CodedGifts};
 use swarm::sim::{AgentConfig, AgentSwarm, FlashCrowd, ShardPlan, SimScratch};
 use swarm::{policy, stability, StabilityVerdict, SwarmError, SwarmParams};
+use telemetry::{NullRecorder, Recorder, Span};
 
 /// One agent-simulator scenario to replicate: model parameters plus the
 /// peer-level features the CTMC cannot express.
@@ -229,172 +229,81 @@ pub struct AgentOutcome {
     pub failed_replications: u32,
 }
 
-/// Runs a single replication of `scenario` on its derived random stream.
+/// Runs a single unmetered replication of `scenario` on its derived random
+/// stream, with a fresh scratch arena and the scenario's effective shard
+/// plan on one shard worker: the way to reproduce any replication of a
+/// session in isolation.
 ///
 /// # Errors
 ///
 /// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
+/// configuration is invalid, its flash schedule fails validation, or its
+/// sharding settings are incompatible with the kernel.
 pub fn run_agent_replication(
     scenario: &AgentScenario,
     config: &EngineConfig,
     replication: u32,
 ) -> Result<AgentReplication, SwarmError> {
-    run_agent_replication_with_scratch(scenario, config, replication, &mut SimScratch::new())
+    run_agent_replication_on::<NullRecorder>(
+        scenario,
+        config,
+        replication,
+        &mut SimScratch::new(),
+        1,
+    )
+    .map(|(outcome, _, _)| outcome)
 }
 
-/// Runs a single replication like [`run_agent_replication`], reusing the
-/// buffers of `scratch` (and returning the run's snapshot buffer to it), so
-/// a replication loop allocates nothing per task once the scratch is warm.
-/// The scratch never changes the numbers.
+/// The one agent replication body, observed by recorders of type `T`.
 ///
-/// # Errors
+/// Reuses the buffers of `scratch` (and returns the run's snapshot buffer
+/// to it), so a replication loop allocates nothing per task once the
+/// scratch is warm. When the scenario's effective shard plan has more than
+/// one shard, the swarm runs through the sharded turbo driver with its
+/// shard segments spread over `shard_jobs` worker threads. Returns the
+/// outcome, one recorder per shard (a single one for an unsharded run), and
+/// the wall-clock seconds of the simulator run alone.
 ///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
-pub fn run_agent_replication_with_scratch(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
-    scratch: &mut SimScratch,
-) -> Result<AgentReplication, SwarmError> {
-    run_agent_replication_opts(scenario, config, replication, scratch, 1)
-}
-
-/// Runs a single replication like [`run_agent_replication_with_scratch`],
-/// additionally honouring the scenario's effective shard plan: when the
-/// scenario (or `config`) asks for more than one shard, the swarm runs
-/// through the sharded turbo driver with its shard segments spread over
-/// `shard_jobs` worker threads. `shard_jobs` affects wall clock only — for
-/// a fixed `(master_seed, shards, sync_window)` the result is bit-identical
-/// at any value. Unsharded scenarios ignore `shard_jobs` and take the
-/// ordinary scratch-reusing path.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, its flash schedule fails validation, or its
-/// sharding settings are incompatible with the kernel.
-pub fn run_agent_replication_opts(
+/// Neither the scratch, `shard_jobs`, nor the recorder changes the numbers:
+/// recorders consume no randomness, so with [`NullRecorder`] this
+/// monomorphizes to the unmetered run and with a counting recorder the
+/// outcome is bit-identical.
+pub(crate) fn run_agent_replication_on<T: Recorder + Default + Send>(
     scenario: &AgentScenario,
     config: &EngineConfig,
     replication: u32,
     scratch: &mut SimScratch,
     shard_jobs: usize,
-) -> Result<AgentReplication, SwarmError> {
+) -> Result<(AgentReplication, Vec<T>, f64), SwarmError> {
     let sim = scenario.build_sim()?;
     let initial = scenario.initial_population();
     let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
-    if let Some(plan) = scenario.shard_plan(config, shard_jobs) {
-        let result = sim.run_sharded(&initial, &scenario.flash, config.horizon, &plan, &mut rng)?;
-        return Ok(classify_result(
-            scenario,
-            replication,
-            &result,
-            initial.len(),
-        ));
-    }
-    let result =
-        sim.run_with_scratch(&initial, &scenario.flash, config.horizon, &mut rng, scratch)?;
-    let outcome = classify_result(scenario, replication, &result, initial.len());
-    scratch.recycle(result);
-    Ok(outcome)
-}
-
-/// Runs a single replication like [`run_agent_replication_with_scratch`],
-/// additionally metering the simulator through a
-/// [`telemetry::CounterRecorder`] and timing the run with a wall clock.
-///
-/// The recorder consumes no randomness, so the returned
-/// [`AgentReplication`] is bit-identical to the unmetered helper's on the
-/// same inputs; only the side-channel [`ReplicationTelemetry`] is extra.
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, or its flash schedule fails validation.
-pub fn run_agent_replication_metered(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
-    scratch: &mut SimScratch,
-) -> Result<(AgentReplication, ReplicationTelemetry), SwarmError> {
-    run_agent_replication_metered_opts(scenario, config, replication, scratch, 1)
-}
-
-/// Runs a single metered replication like [`run_agent_replication_metered`],
-/// additionally honouring the scenario's effective shard plan (see
-/// [`run_agent_replication_opts`]). A sharded run meters each shard with
-/// its own [`telemetry::CounterRecorder`] — each satisfying the partition
-/// identities on its own — and folds them in ascending shard order into the
-/// returned [`ReplicationTelemetry`].
-///
-/// # Errors
-///
-/// Returns [`SwarmError::InvalidParameter`] if the scenario's policy or
-/// configuration is invalid, its flash schedule fails validation, or its
-/// sharding settings are incompatible with the kernel.
-pub fn run_agent_replication_metered_opts(
-    scenario: &AgentScenario,
-    config: &EngineConfig,
-    replication: u32,
-    scratch: &mut SimScratch,
-    shard_jobs: usize,
-) -> Result<(AgentReplication, ReplicationTelemetry), SwarmError> {
-    let sim = scenario.build_sim()?;
-    let initial = scenario.initial_population();
-    let mut rng = replication_rng(config.master_seed, scenario.id, u64::from(replication));
-    if let Some(plan) = scenario.shard_plan(config, shard_jobs) {
-        let mut recorders =
-            vec![telemetry::CounterRecorder::new(); usize::try_from(plan.shards).unwrap_or(1)];
-        let span = telemetry::Span::start();
-        let result = sim.run_sharded_metered(
-            &initial,
-            &scenario.flash,
-            config.horizon,
-            &plan,
-            &mut rng,
-            &mut recorders,
-        )?;
-        let wall_seconds = span.seconds();
-        let outcome = classify_result(scenario, replication, &result, initial.len());
-        let mut counters = telemetry::CounterSet::new();
-        for recorder in &recorders {
-            counters.merge(&recorder.counters);
+    let plan = scenario.shard_plan(config, shard_jobs);
+    let shards = plan.as_ref().map_or(1, |plan| plan.shards as usize);
+    let mut recorders: Vec<T> = std::iter::repeat_with(T::default).take(shards).collect();
+    let (flash, horizon) = (&scenario.flash, config.horizon);
+    let span = Span::start();
+    let result = match &plan {
+        Some(plan) => {
+            sim.run_sharded_metered(&initial, flash, horizon, plan, &mut rng, &mut recorders)
         }
-        return Ok((
-            outcome,
-            ReplicationTelemetry {
-                counters,
-                wall_seconds,
-            },
-        ));
-    }
-    let mut recorder = telemetry::CounterRecorder::new();
-    let span = telemetry::Span::start();
-    let result = sim.run_metered(
-        &initial,
-        &scenario.flash,
-        config.horizon,
-        &mut rng,
-        scratch,
-        &mut recorder,
-    )?;
+        None => sim.run_metered(
+            &initial,
+            flash,
+            horizon,
+            &mut rng,
+            scratch,
+            &mut recorders[0],
+        ),
+    }?;
     let wall_seconds = span.seconds();
     let outcome = classify_result(scenario, replication, &result, initial.len());
     scratch.recycle(result);
-    Ok((
-        outcome,
-        ReplicationTelemetry {
-            counters: recorder.counters,
-            wall_seconds,
-        },
-    ))
+    Ok((outcome, recorders, wall_seconds))
 }
 
 /// Classifies a finished simulator run into the replication outcome — the
-/// one place the path classifier is configured, shared by the metered and
-/// unmetered helpers so they cannot drift.
+/// one place the agent path classifier is configured.
 fn classify_result(
     scenario: &AgentScenario,
     replication: u32,
@@ -525,13 +434,23 @@ mod tests {
         )
         .unwrap();
         assert_eq!(seq, par);
-        // And a scratch-free replication matches the batch's scratch path.
+        // And a fresh-scratch replication matches one on a scratch already
+        // warmed by another replication.
         let lone = run_agent_replication(&scenarios[0], &quick_config(), 0).unwrap();
-        let mut scratch = swarm::sim::SimScratch::new();
-        let warm =
-            run_agent_replication_with_scratch(&scenarios[0], &quick_config(), 0, &mut scratch)
-                .unwrap();
-        assert_eq!(lone, warm);
+        let mut scratch = SimScratch::new();
+        let mut run = |replication| {
+            run_agent_replication_on::<NullRecorder>(
+                &scenarios[0],
+                &quick_config(),
+                replication,
+                &mut scratch,
+                1,
+            )
+            .unwrap()
+            .0
+        };
+        run(1);
+        assert_eq!(run(0), lone);
     }
 
     #[test]

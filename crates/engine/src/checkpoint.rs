@@ -28,7 +28,7 @@
 
 use crate::error::Error;
 use crate::replicate::ClassVotes;
-use crate::session::ReplicationFailure;
+use crate::session::{Aggregate, ReplicationFailure};
 use crate::stats::Welford;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -67,26 +67,6 @@ impl CheckpointSpec {
     }
 }
 
-/// Snapshot of one scenario's incremental aggregation state. One struct
-/// covers both workload kinds; fields the kind does not use are zero.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct AggSnapshot {
-    pub(crate) theory: StabilityVerdict,
-    pub(crate) votes: ClassVotes,
-    pub(crate) slope: Welford,
-    pub(crate) average: Welford,
-    /// Events-per-replication accumulator (agent scenarios only).
-    pub(crate) events: Welford,
-    /// Replications agreeing with theory (CTMC scenarios only).
-    pub(crate) agreeing: u32,
-    /// Replications clipped by `max_events` (agent scenarios only).
-    pub(crate) truncated: u32,
-    /// Successful replications pushed.
-    pub(crate) count: u32,
-    /// Failed (quarantined) replications.
-    pub(crate) failed: u32,
-}
-
 /// Everything a checkpoint file round-trips.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct CheckpointData {
@@ -109,7 +89,7 @@ pub(crate) struct CheckpointData {
     /// Aggregation state of every scenario the frontier has touched:
     /// one full snapshot per completed scenario, plus one partial
     /// snapshot iff the frontier stopped mid-scenario.
-    pub(crate) snapshots: Vec<AggSnapshot>,
+    pub(crate) snapshots: Vec<Aggregate>,
 }
 
 /// Format version. v2 added the Welford non-finite rejection counter to
@@ -396,7 +376,7 @@ pub(crate) fn load(path: &Path) -> Result<CheckpointData, Error> {
                 f64::from_bits(bits[3]),
             ))
         };
-        snapshots.push(AggSnapshot {
+        snapshots.push(Aggregate {
             theory,
             votes: ClassVotes {
                 stable: int(1)?,
@@ -467,7 +447,7 @@ mod tests {
                 payload: "boom with\nnewline and \\backslash".into(),
             }],
             snapshots: vec![
-                AggSnapshot {
+                Aggregate {
                     theory: StabilityVerdict::PositiveRecurrent,
                     votes: ClassVotes {
                         stable: 3,
@@ -482,7 +462,7 @@ mod tests {
                     count: 3,
                     failed: 1,
                 },
-                AggSnapshot {
+                Aggregate {
                     theory: StabilityVerdict::Transient,
                     votes: ClassVotes {
                         stable: 0,

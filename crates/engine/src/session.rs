@@ -71,10 +71,8 @@
 //! # Ok::<(), swarm::SwarmError>(())
 //! ```
 
-use crate::agent::{
-    run_agent_replication_metered_opts, run_agent_replication_opts, AgentOutcome, AgentScenario,
-};
-use crate::checkpoint::{self, AggSnapshot, CheckpointData, CheckpointSpec};
+use crate::agent::{run_agent_replication_on, scenario_theory, AgentOutcome, AgentScenario};
+use crate::checkpoint::{self, CheckpointData, CheckpointSpec};
 use crate::coded::{CodedGridSpec, CodedPhaseCell, CodedPhaseDiagram};
 use crate::config::{EngineConfig, FailurePolicy};
 use crate::error::Error;
@@ -82,9 +80,7 @@ use crate::faults::FaultPlan;
 use crate::grid::{GridSpec, PhaseCell, PhaseDiagram};
 use crate::metrics::ReplicationTelemetry;
 use crate::progress::ProgressSink;
-use crate::replicate::{
-    run_replication_on, verdict_agrees, ClassVotes, ReplicationOutcome, Scenario, ScenarioOutcome,
-};
+use crate::replicate::{run_replication_on, verdict_agrees, ClassVotes, Scenario, ScenarioOutcome};
 use crate::stats::Welford;
 use markov::PathClass;
 use std::collections::BTreeMap;
@@ -94,7 +90,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use swarm::coded::CodedParams;
 use swarm::sim::{AgentConfig, KernelKind, SimScratch};
 use swarm::{stability, StabilityVerdict, SwarmModel, SwarmParams};
-use telemetry::{Histogram, Span};
+use telemetry::{CounterRecorder, CounterSet, Histogram, NullRecorder, Span};
 
 /// One replication's result, as delivered to a [`ReplicationSink`].
 ///
@@ -773,8 +769,8 @@ impl Session {
     /// The checkpoint family tag of this workload's replication path.
     fn kind_tag(&self) -> &'static str {
         match &self.workload.kind {
-            WorkloadKind::Ctmc(_) | WorkloadKind::Grid { .. } => "ctmc",
-            WorkloadKind::Agent(_) | WorkloadKind::Coded { .. } => "agent",
+            WorkloadKind::Ctmc(_) | WorkloadKind::Grid { .. } => Scenario::KIND,
+            WorkloadKind::Agent(_) | WorkloadKind::Coded { .. } => AgentScenario::KIND,
         }
     }
 
@@ -785,10 +781,10 @@ impl Session {
     ) -> SessionOutput {
         match &self.workload.kind {
             WorkloadKind::Ctmc(scenarios) => {
-                SessionOutput::Ctmc(self.stream_ctmc(scenarios, sink, resume))
+                SessionOutput::Ctmc(self.stream_scenarios(scenarios, sink, resume))
             }
             WorkloadKind::Agent(scenarios) => {
-                SessionOutput::Agent(self.stream_agent(scenarios, sink, resume))
+                SessionOutput::Agent(self.stream_scenarios(scenarios, sink, resume))
             }
             WorkloadKind::Grid {
                 spec,
@@ -796,7 +792,7 @@ impl Session {
                 scenarios,
                 skipped,
             } => {
-                let outcomes = self.stream_ctmc(scenarios, sink, resume);
+                let outcomes = self.stream_scenarios(scenarios, sink, resume);
                 let cells = coords
                     .iter()
                     .zip(outcomes)
@@ -820,7 +816,7 @@ impl Session {
                 scenarios,
                 skipped,
             } => {
-                let outcomes = self.stream_agent(scenarios, sink, resume);
+                let outcomes = self.stream_scenarios(scenarios, sink, resume);
                 let cells = coords
                     .iter()
                     .zip(outcomes)
@@ -842,181 +838,55 @@ impl Session {
         }
     }
 
-    fn stream_ctmc<S: ReplicationSink + Send>(
+    /// The replication pipeline every workload kind runs: resume from the
+    /// checkpointed prefix (if any), replicate in order under the failure
+    /// policy, aggregate, checkpoint, and build one outcome per scenario.
+    fn stream_scenarios<K: ScenarioKind, S: ReplicationSink + Send>(
         &self,
-        scenarios: &[Scenario],
+        scenarios: &[K],
         sink: &mut S,
         resume: Option<CheckpointData>,
-    ) -> Vec<ScenarioOutcome> {
+    ) -> Vec<K::Outcome> {
         let config = &self.config;
         let start = resume.as_ref().map_or(0, |d| d.frontier as usize);
         let carried = resume.as_ref().map_or(0, |d| d.failures.len());
         let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
         let (total, window, reps) = (framing.total, framing.window, framing.reps);
+        let shared: Vec<K::Shared> = scenarios.iter().map(K::shared).collect();
 
-        // One model per scenario, shared (read-only) by its replications —
-        // the `2^K` type space is built once, not per replication.
-        let models: Vec<SwarmModel> = scenarios
-            .iter()
-            .map(|s| SwarmModel::new(s.params.clone()))
-            .collect();
-
-        let mut outcomes: Vec<ScenarioOutcome> = Vec::with_capacity(scenarios.len());
-        let mut agg = CtmcAggregate::new();
-        let mut failures: Vec<ReplicationFailure> = Vec::new();
-        let keep_snaps = self.checkpoint.is_some();
-        let ckpt_digest = if keep_snaps {
-            self.checkpoint_digest()
-        } else {
-            0
+        let mut outcomes: Vec<K::Outcome> = Vec::with_capacity(scenarios.len());
+        let mut agg = Aggregate::new(StabilityVerdict::Borderline);
+        // What a checkpoint holds, kept current as the frontier advances:
+        // the quarantined failures and one aggregate per completed scenario.
+        let mut ledger = CheckpointData {
+            digest: self
+                .checkpoint
+                .as_ref()
+                .map_or(0, |_| self.checkpoint_digest()),
+            kind: K::KIND,
+            total: total as u64,
+            reps: reps as u64,
+            frontier: start as u64,
+            retries: 0,
+            failures: Vec::new(),
+            snapshots: Vec::new(),
         };
-        let mut completed_snaps: Vec<AggSnapshot> = Vec::new();
 
         if let Some(data) = resume {
             framing.retries = data.retries;
-            failures = data.failures;
-            for f in &failures {
+            for f in &data.failures {
                 framing.failure(f);
             }
             let completed = start / reps;
-            for (s, snap) in data.snapshots.iter().enumerate().take(completed) {
-                agg.restore(snap);
-                outcomes.push(agg.finish(&scenarios[s], config));
-            }
-            if keep_snaps {
-                completed_snaps = data.snapshots[..completed].to_vec();
+            for (scenario, done) in scenarios.iter().zip(&data.snapshots[..completed]) {
+                outcomes.push(scenario.outcome(done, config));
             }
             if !start.is_multiple_of(reps) {
-                agg.restore(&data.snapshots[completed]);
+                agg = data.snapshots[completed].clone();
             }
-        }
-
-        let policy = config.failure_policy;
-        let faults = self.faults.as_ref();
-        let sched = run_ordered(
-            start,
-            total,
-            config.jobs,
-            window,
-            || (),
-            |index, ctx: &mut ()| {
-                let (s, r) = (index / reps, (index % reps) as u32);
-                run_with_policy(
-                    policy,
-                    faults,
-                    scenarios[s].id,
-                    r,
-                    ctx,
-                    || (),
-                    |_, _ctx| Ok(run_replication_on(&models[s], &scenarios[s], config, r)),
-                )
-            },
-            |index, result: TaskOutput<ReplicationOutcome>| {
-                let (s, r) = (index / reps, index % reps);
-                if r == 0 {
-                    agg.begin(stability::classify(&scenarios[s].params).verdict);
-                }
-                match result {
-                    TaskOutput::Ok {
-                        value: outcome,
-                        retries,
-                    } => {
-                        framing.retries += u64::from(retries);
-                        framing.record(&ReplicationRecord {
-                            scenario_index: s,
-                            scenario_id: scenarios[s].id,
-                            replication: r as u32,
-                            class: outcome.class,
-                            tail_slope: outcome.tail_slope,
-                            tail_average: outcome.tail_average,
-                            events: 0,
-                            transfers: 0,
-                            truncated: false,
-                            telemetry: None,
-                        });
-                        agg.push(&outcome);
-                    }
-                    TaskOutput::Failed { attempts, payload } => quarantine(
-                        &mut framing,
-                        &mut agg.failed,
-                        &mut failures,
-                        policy,
-                        ReplicationFailure {
-                            scenario_index: s,
-                            scenario_id: scenarios[s].id,
-                            replication: r as u32,
-                            attempts,
-                            payload,
-                        },
-                    ),
-                }
-                if r + 1 == reps {
-                    if keep_snaps {
-                        completed_snaps.push(agg.snapshot());
-                    }
-                    outcomes.push(agg.finish(&scenarios[s], config));
-                }
-                if let Some(spec) = &self.checkpoint {
-                    write_checkpoint(
-                        spec,
-                        ckpt_digest,
-                        "ctmc",
-                        index,
-                        total,
-                        reps,
-                        &framing,
-                        &failures,
-                        &completed_snaps,
-                        || agg.snapshot(),
-                    );
-                }
-            },
-        );
-
-        framing.end(sched);
-        outcomes
-    }
-
-    fn stream_agent<S: ReplicationSink + Send>(
-        &self,
-        scenarios: &[AgentScenario],
-        sink: &mut S,
-        resume: Option<CheckpointData>,
-    ) -> Vec<AgentOutcome> {
-        let config = &self.config;
-        let start = resume.as_ref().map_or(0, |d| d.frontier as usize);
-        let carried = resume.as_ref().map_or(0, |d| d.failures.len());
-        let mut framing = StreamFraming::begin(config, scenarios.len(), start, carried, sink);
-        let (total, window, reps) = (framing.total, framing.window, framing.reps);
-
-        let mut outcomes: Vec<AgentOutcome> = Vec::with_capacity(scenarios.len());
-        let mut agg = AgentAggregate::new();
-        let mut failures: Vec<ReplicationFailure> = Vec::new();
-        let keep_snaps = self.checkpoint.is_some();
-        let ckpt_digest = if keep_snaps {
-            self.checkpoint_digest()
-        } else {
-            0
-        };
-        let mut completed_snaps: Vec<AggSnapshot> = Vec::new();
-
-        if let Some(data) = resume {
-            framing.retries = data.retries;
-            failures = data.failures;
-            for f in &failures {
-                framing.failure(f);
-            }
-            let completed = start / reps;
-            for (s, snap) in data.snapshots.iter().enumerate().take(completed) {
-                agg.restore(snap);
-                outcomes.push(agg.finish(&scenarios[s], config));
-            }
-            if keep_snaps {
-                completed_snaps = data.snapshots[..completed].to_vec();
-            }
-            if !start.is_multiple_of(reps) {
-                agg.restore(&data.snapshots[completed]);
-            }
+            ledger.failures = data.failures;
+            ledger.snapshots = data.snapshots;
+            ledger.snapshots.truncate(completed);
         }
 
         let policy = config.failure_policy;
@@ -1029,140 +899,378 @@ impl Session {
         let workers = effective_jobs(config.jobs);
         let outer = workers.min(total.saturating_sub(start).max(1));
         let shard_jobs = (workers / outer).max(1);
-        let sched =
-            run_ordered(
-                start,
-                total,
-                config.jobs,
-                window,
-                // One scratch arena per worker: every replication a worker
-                // serves reuses its buffers, so a warm stream allocates nothing
-                // per task. The scratch never changes the numbers.
-                SimScratch::new,
-                |index, scratch: &mut SimScratch| {
-                    let (s, r) = (index / reps, (index % reps) as u32);
-                    // The metered path runs the identical simulation through a
-                    // counting recorder (no extra draws), so the outcome is
-                    // bit-identical either way; only the side channel differs.
-                    // A post-validation simulator error is an internal
-                    // invariant violation: it becomes a structured failure (or,
-                    // under FailFast, a panic) instead of an unwrap.
-                    let invariant = |e: swarm::SwarmError| {
-                        format!(
-                            "internal invariant violated: scenario `{}` failed \
-                         after session validation: {e}",
-                            scenarios[s].label
-                        )
-                    };
-                    run_with_policy(
-                        policy,
-                        faults,
-                        scenarios[s].id,
-                        r,
-                        scratch,
-                        SimScratch::new,
-                        |_, scratch| {
-                            let mut pair = if config.metrics {
-                                let (outcome, telemetry) = run_agent_replication_metered_opts(
-                                    &scenarios[s],
-                                    config,
-                                    r,
-                                    scratch,
-                                    shard_jobs,
-                                )
-                                .map_err(invariant)?;
-                                (outcome, Some(telemetry))
-                            } else {
-                                let outcome = run_agent_replication_opts(
-                                    &scenarios[s],
-                                    config,
-                                    r,
-                                    scratch,
-                                    shard_jobs,
-                                )
-                                .map_err(invariant)?;
-                                (outcome, None)
-                            };
-                            // Injected metric corruption (chaos `nan`
-                            // faults) poisons the classification after the
-                            // run, exercising the same rejection a real
-                            // estimator bug would hit.
-                            if faults.is_some_and(|p| p.corrupts_metrics(scenarios[s].id, r)) {
-                                pair.0.tail_slope = f64::NAN;
+        let sched = run_ordered(
+            start,
+            total,
+            config.jobs,
+            window,
+            K::worker,
+            |index, worker: &mut K::Worker| {
+                let (s, r) = (index / reps, (index % reps) as u32);
+                let scenario = &scenarios[s];
+                run_with_policy(
+                    policy,
+                    faults,
+                    scenario.id(),
+                    r,
+                    worker,
+                    K::worker,
+                    |_, worker| {
+                        let mut sample =
+                            scenario.replicate(&shared[s], worker, config, r, shard_jobs)?;
+                        // Injected metric corruption (chaos `nan` faults)
+                        // poisons the classification after the run,
+                        // exercising the same rejection a real estimator
+                        // bug would hit.
+                        if faults.is_some_and(|p| p.corrupts_metrics(scenario.id(), r)) {
+                            sample.tail_slope = f64::NAN;
+                        }
+                        check_finite(&sample, scenario.label(), r)?;
+                        Ok(sample)
+                    },
+                )
+            },
+            |index, result: TaskOutput<Sample>| {
+                let (s, r) = (index / reps, index % reps);
+                let scenario = &scenarios[s];
+                if r == 0 {
+                    agg = Aggregate::new(scenario.theory());
+                }
+                match result {
+                    TaskOutput::Ok {
+                        value: sample,
+                        retries,
+                    } => {
+                        framing.retries += u64::from(retries);
+                        framing.record(&ReplicationRecord {
+                            scenario_index: s,
+                            scenario_id: scenario.id(),
+                            replication: r as u32,
+                            class: sample.class,
+                            tail_slope: sample.tail_slope,
+                            tail_average: sample.tail_average,
+                            events: sample.events,
+                            transfers: sample.transfers,
+                            truncated: sample.truncated,
+                            telemetry: sample.telemetry,
+                        });
+                        agg.push(&sample);
+                    }
+                    TaskOutput::Failed { attempts, payload } => {
+                        let failure = ReplicationFailure {
+                            scenario_index: s,
+                            scenario_id: scenario.id(),
+                            replication: r as u32,
+                            attempts,
+                            payload,
+                        };
+                        // The attempts beyond the first were retries, even
+                        // though they never produced a record — account for
+                        // them so the end-frame algebra covers exhausted
+                        // replications too.
+                        framing.retries += u64::from(attempts.saturating_sub(1));
+                        framing.failure(&failure);
+                        agg.failed += 1;
+                        ledger.failures.push(failure);
+                        if let FailurePolicy::Quarantine { max_failures } = policy {
+                            if ledger.failures.len() as u64 > u64::from(max_failures) {
+                                panic!(
+                                    "session aborted: {} replications failed, exceeding \
+                                     the quarantine budget of {max_failures}",
+                                    ledger.failures.len()
+                                );
                             }
-                            check_finite(&pair.0, &scenarios[s].label)?;
-                            Ok(pair)
-                        },
-                    )
-                },
-                |index,
-                 result: TaskOutput<(
-                    crate::agent::AgentReplication,
-                    Option<ReplicationTelemetry>,
-                )>| {
-                    let (s, r) = (index / reps, index % reps);
-                    if r == 0 {
-                        agg.begin(crate::agent::scenario_theory(&scenarios[s]));
-                    }
-                    match result {
-                        TaskOutput::Ok {
-                            value: (outcome, telemetry),
-                            retries,
-                        } => {
-                            framing.retries += u64::from(retries);
-                            framing.record(&ReplicationRecord {
-                                scenario_index: s,
-                                scenario_id: scenarios[s].id,
-                                replication: r as u32,
-                                class: outcome.class,
-                                tail_slope: outcome.tail_slope,
-                                tail_average: outcome.tail_average,
-                                events: outcome.events,
-                                transfers: outcome.transfers,
-                                truncated: outcome.truncated,
-                                telemetry,
-                            });
-                            agg.push(&outcome);
                         }
-                        TaskOutput::Failed { attempts, payload } => quarantine(
-                            &mut framing,
-                            &mut agg.failed,
-                            &mut failures,
-                            policy,
-                            ReplicationFailure {
-                                scenario_index: s,
-                                scenario_id: scenarios[s].id,
-                                replication: r as u32,
-                                attempts,
-                                payload,
-                            },
-                        ),
                     }
-                    if r + 1 == reps {
-                        if keep_snaps {
-                            completed_snaps.push(agg.snapshot());
-                        }
-                        outcomes.push(agg.finish(&scenarios[s], config));
-                    }
-                    if let Some(spec) = &self.checkpoint {
-                        write_checkpoint(
-                            spec,
-                            ckpt_digest,
-                            "agent",
-                            index,
-                            total,
-                            reps,
-                            &framing,
-                            &failures,
-                            &completed_snaps,
-                            || agg.snapshot(),
-                        );
-                    }
-                },
-            );
+                }
+                if r + 1 == reps {
+                    outcomes.push(scenario.outcome(&agg, config));
+                    ledger.snapshots.push(agg.clone());
+                }
+                if let Some(spec) = &self.checkpoint {
+                    ledger.frontier = (index + 1) as u64;
+                    ledger.retries = framing.retries;
+                    write_checkpoint(spec, &mut ledger, &agg);
+                }
+            },
+        );
 
         framing.end(sched);
         outcomes
+    }
+}
+
+/// The per-kind half of the replication pipeline: what
+/// [`Session::stream_scenarios`] needs to know about one scenario type.
+/// Implemented for CTMC [`Scenario`]s (which grid workloads replicate too)
+/// and for [`AgentScenario`]s (which coded workloads replicate too).
+trait ScenarioKind: Sync {
+    /// The checkpoint family tag of the kind.
+    const KIND: &'static str;
+    /// Read-only state built once per scenario and shared by its
+    /// replications.
+    type Shared: Sync;
+    /// Per-worker context, reused by every replication a worker serves and
+    /// rebuilt after a caught panic.
+    type Worker;
+    /// The public per-scenario outcome the kind reports.
+    type Outcome: Send;
+
+    /// The scenario's stream key.
+    fn id(&self) -> u64;
+    /// The scenario's label.
+    fn label(&self) -> &str;
+    /// The theory verdict the scenario's replications vote against.
+    fn theory(&self) -> StabilityVerdict;
+    /// Builds the scenario's shared state.
+    fn shared(&self) -> Self::Shared;
+    /// Builds one worker's context.
+    fn worker() -> Self::Worker;
+    /// Runs one replication on its derived stream. An `Err` is an internal
+    /// invariant violation, reported as a failure (or a panic under
+    /// [`FailurePolicy::FailFast`]).
+    fn replicate(
+        &self,
+        shared: &Self::Shared,
+        worker: &mut Self::Worker,
+        config: &EngineConfig,
+        replication: u32,
+        shard_jobs: usize,
+    ) -> Result<Sample, String>;
+    /// Builds the scenario's outcome from its finished aggregate.
+    fn outcome(&self, agg: &Aggregate, config: &EngineConfig) -> Self::Outcome;
+}
+
+impl ScenarioKind for Scenario {
+    const KIND: &'static str = "ctmc";
+    /// The scenario's model: the `2^K` type space is built once, not per
+    /// replication.
+    type Shared = SwarmModel;
+    type Worker = ();
+    type Outcome = ScenarioOutcome;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn theory(&self) -> StabilityVerdict {
+        stability::classify(&self.params).verdict
+    }
+
+    fn shared(&self) -> SwarmModel {
+        SwarmModel::new(self.params.clone())
+    }
+
+    fn worker() {}
+
+    fn replicate(
+        &self,
+        model: &SwarmModel,
+        (): &mut (),
+        config: &EngineConfig,
+        replication: u32,
+        _shard_jobs: usize,
+    ) -> Result<Sample, String> {
+        let outcome = run_replication_on(model, self, config, replication);
+        Ok(Sample {
+            class: outcome.class,
+            tail_slope: outcome.tail_slope,
+            tail_average: outcome.tail_average,
+            events: 0,
+            transfers: 0,
+            truncated: false,
+            telemetry: None,
+        })
+    }
+
+    fn outcome(&self, agg: &Aggregate, config: &EngineConfig) -> ScenarioOutcome {
+        let majority = agg.votes.majority();
+        ScenarioOutcome {
+            scenario_id: self.id,
+            label: self.label.clone(),
+            theory: agg.theory,
+            votes: agg.votes,
+            majority,
+            tail_slope: agg.slope.estimate(config.confidence),
+            tail_average: agg.average.estimate(config.confidence),
+            agreement: if agg.count == 0 {
+                1.0
+            } else {
+                f64::from(agg.agreeing) / f64::from(agg.count)
+            },
+            agrees: verdict_agrees(agg.theory, majority),
+            failed_replications: agg.failed,
+        }
+    }
+}
+
+impl ScenarioKind for AgentScenario {
+    const KIND: &'static str = "agent";
+    type Shared = ();
+    /// One scratch arena per worker: a warm stream allocates nothing per
+    /// task. The scratch never changes the numbers.
+    type Worker = SimScratch;
+    type Outcome = AgentOutcome;
+
+    fn id(&self) -> u64 {
+        self.id
+    }
+
+    fn label(&self) -> &str {
+        &self.label
+    }
+
+    fn theory(&self) -> StabilityVerdict {
+        scenario_theory(self)
+    }
+
+    fn shared(&self) {}
+
+    fn worker() -> SimScratch {
+        SimScratch::new()
+    }
+
+    fn replicate(
+        &self,
+        (): &(),
+        scratch: &mut SimScratch,
+        config: &EngineConfig,
+        replication: u32,
+        shard_jobs: usize,
+    ) -> Result<Sample, String> {
+        // The metered path runs the identical simulation through counting
+        // recorders (no extra draws), so the outcome is bit-identical
+        // either way; only the side channel differs. A post-validation
+        // simulator error is an internal invariant violation.
+        let invariant = |e: swarm::SwarmError| {
+            format!(
+                "internal invariant violated: scenario `{}` failed after \
+                 session validation: {e}",
+                self.label
+            )
+        };
+        let (outcome, telemetry) = if config.metrics {
+            let (outcome, recorders, wall_seconds) = run_agent_replication_on::<CounterRecorder>(
+                self,
+                config,
+                replication,
+                scratch,
+                shard_jobs,
+            )
+            .map_err(invariant)?;
+            // A sharded run meters each shard on its own; fold them in
+            // ascending shard order.
+            let mut counters = CounterSet::new();
+            for recorder in &recorders {
+                counters.merge(&recorder.counters);
+            }
+            let telemetry = ReplicationTelemetry {
+                counters,
+                wall_seconds,
+            };
+            (outcome, Some(telemetry))
+        } else {
+            let (outcome, _, _) = run_agent_replication_on::<NullRecorder>(
+                self,
+                config,
+                replication,
+                scratch,
+                shard_jobs,
+            )
+            .map_err(invariant)?;
+            (outcome, None)
+        };
+        Ok(Sample {
+            class: outcome.class,
+            tail_slope: outcome.tail_slope,
+            tail_average: outcome.tail_average,
+            events: outcome.events,
+            transfers: outcome.transfers,
+            truncated: outcome.truncated,
+            telemetry,
+        })
+    }
+
+    fn outcome(&self, agg: &Aggregate, config: &EngineConfig) -> AgentOutcome {
+        let majority = agg.votes.majority();
+        AgentOutcome {
+            scenario_id: self.id,
+            label: self.label.clone(),
+            theory: agg.theory,
+            votes: agg.votes,
+            majority,
+            tail_slope: agg.slope.estimate(config.confidence),
+            tail_average: agg.average.estimate(config.confidence),
+            agrees: verdict_agrees(agg.theory, majority),
+            truncated_replications: agg.truncated,
+            mean_events: agg.events.mean(),
+            failed_replications: agg.failed,
+        }
+    }
+}
+
+/// One replication's measurements, the same for every workload kind (CTMC
+/// replications report no events, transfers, truncation or telemetry).
+struct Sample {
+    class: PathClass,
+    tail_slope: f64,
+    tail_average: f64,
+    events: u64,
+    transfers: u64,
+    truncated: bool,
+    telemetry: Option<ReplicationTelemetry>,
+}
+
+/// Incremental (O(1)-memory) aggregation of one scenario's replications,
+/// pushed in replication order. It is also exactly what a checkpoint
+/// stores per scenario, so snapshot and restore are plain copies. Every
+/// field is kept for every kind; each kind's outcome reads the ones it
+/// reports.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Aggregate {
+    pub(crate) theory: StabilityVerdict,
+    pub(crate) votes: ClassVotes,
+    pub(crate) slope: Welford,
+    pub(crate) average: Welford,
+    /// Events per replication (read by agent outcomes).
+    pub(crate) events: Welford,
+    /// Replications agreeing with theory (read by CTMC outcomes).
+    pub(crate) agreeing: u32,
+    /// Replications clipped by `max_events` (read by agent outcomes).
+    pub(crate) truncated: u32,
+    /// Successful replications pushed.
+    pub(crate) count: u32,
+    /// Replications quarantined (no vote, no sample).
+    pub(crate) failed: u32,
+}
+
+impl Aggregate {
+    fn new(theory: StabilityVerdict) -> Self {
+        Aggregate {
+            theory,
+            votes: ClassVotes::default(),
+            slope: Welford::new(),
+            average: Welford::new(),
+            events: Welford::new(),
+            agreeing: 0,
+            truncated: 0,
+            count: 0,
+            failed: 0,
+        }
+    }
+
+    fn push(&mut self, sample: &Sample) {
+        self.votes.push(sample.class);
+        self.slope.push(sample.tail_slope);
+        self.average.push(sample.tail_average);
+        self.events.push(sample.events as f64);
+        self.agreeing += u32::from(verdict_agrees(self.theory, sample.class));
+        self.truncated += u32::from(sample.truncated);
+        self.count += 1;
     }
 }
 
@@ -1177,92 +1285,44 @@ const NON_FINITE_MARKER: &str = "non-finite statistic";
 /// is still a vote). The error becomes a typed quarantined failure — or a
 /// panic under [`FailurePolicy::FailFast`] — never a silently-NaN
 /// artifact.
-fn check_finite(outcome: &crate::agent::AgentReplication, label: &str) -> Result<(), String> {
+fn check_finite(sample: &Sample, label: &str, replication: u32) -> Result<(), String> {
     for (name, value) in [
-        ("tail_slope", outcome.tail_slope),
-        ("tail_average", outcome.tail_average),
+        ("tail_slope", sample.tail_slope),
+        ("tail_average", sample.tail_average),
     ] {
         if !value.is_finite() {
             return Err(format!(
-                "{NON_FINITE_MARKER}: scenario `{label}` replication {} \
+                "{NON_FINITE_MARKER}: scenario `{label}` replication {replication} \
                  classified with {name} = {value}; rejecting the replication \
-                 instead of aggregating it",
-                outcome.replication
+                 instead of aggregating it"
             ));
         }
     }
     Ok(())
 }
 
-/// The per-failure delivery path shared by the CTMC and agent streams:
-/// forwards the typed failure to the sink, counts it in the scenario
-/// aggregate, and enforces the quarantine budget (exhaustion aborts the
-/// stream by panicking, which [`FailurePolicy::FailFast`]-style propagates
-/// out of `run`/`stream`).
-fn quarantine<S: ReplicationSink>(
-    framing: &mut StreamFraming<'_, S>,
-    agg_failed: &mut u32,
-    failures: &mut Vec<ReplicationFailure>,
-    policy: FailurePolicy,
-    failure: ReplicationFailure,
-) {
-    // The attempts beyond the first were retries, even though they never
-    // produced a record — account for them so the end-frame algebra covers
-    // exhausted replications too.
-    framing.retries += u64::from(failure.attempts.saturating_sub(1));
-    framing.failure(&failure);
-    *agg_failed += 1;
-    failures.push(failure);
-    if let FailurePolicy::Quarantine { max_failures } = policy {
-        if failures.len() as u64 > u64::from(max_failures) {
-            panic!(
-                "session aborted: {} replications failed, exceeding the \
-                 quarantine budget of {max_failures}",
-                failures.len()
-            );
-        }
-    }
-}
-
-/// Writes a checkpoint when the delivery frontier crosses the spec's
-/// interval (or finishes the stream). Write failures warn and continue:
-/// losing a checkpoint must never take down an otherwise healthy run.
-#[allow(clippy::too_many_arguments)]
-fn write_checkpoint<S: ReplicationSink>(
-    spec: &CheckpointSpec,
-    digest: u64,
-    kind: &'static str,
-    index: usize,
-    total: usize,
-    reps: usize,
-    framing: &StreamFraming<'_, S>,
-    failures: &[ReplicationFailure],
-    completed_snaps: &[AggSnapshot],
-    partial: impl FnOnce() -> AggSnapshot,
-) {
-    let frontier = (index + 1) as u64;
-    if !frontier.is_multiple_of(spec.every) && frontier != total as u64 {
+/// Saves `ledger` as a checkpoint when its frontier crosses the spec's
+/// interval (or finishes the stream), appending the `partial` aggregate
+/// when the frontier stopped mid-scenario. Write failures warn and
+/// continue: losing a checkpoint must never take down an otherwise healthy
+/// run.
+fn write_checkpoint(spec: &CheckpointSpec, ledger: &mut CheckpointData, partial: &Aggregate) {
+    let frontier = ledger.frontier;
+    if !frontier.is_multiple_of(spec.every) && frontier != ledger.total {
         return;
     }
-    let mut snapshots = completed_snaps.to_vec();
-    if !frontier.is_multiple_of(reps as u64) {
-        snapshots.push(partial());
+    let mid_scenario = !frontier.is_multiple_of(ledger.reps);
+    if mid_scenario {
+        ledger.snapshots.push(partial.clone());
     }
-    let data = CheckpointData {
-        digest,
-        kind,
-        total: total as u64,
-        reps: reps as u64,
-        frontier,
-        retries: framing.retries,
-        failures: failures.to_vec(),
-        snapshots,
-    };
-    if let Err(error) = checkpoint::save(&spec.path, &data) {
+    if let Err(error) = checkpoint::save(&spec.path, ledger) {
         eprintln!(
             "warning: failed to write checkpoint {}: {error}",
             spec.path.display()
         );
+    }
+    if mid_scenario {
+        ledger.snapshots.pop();
     }
 }
 
@@ -1468,180 +1528,6 @@ impl<'s, S: ReplicationSink> StreamFraming<'s, S> {
             p.end(&stats);
         }
         self.sink.end(&stats);
-    }
-}
-
-/// Incremental (O(1)-memory) aggregation of one CTMC scenario's
-/// replications, pushed in replication order.
-struct CtmcAggregate {
-    theory: StabilityVerdict,
-    votes: ClassVotes,
-    slope: Welford,
-    average: Welford,
-    agreeing: u32,
-    count: u32,
-    /// Replications quarantined (no vote, no sample) for this scenario.
-    failed: u32,
-}
-
-impl CtmcAggregate {
-    fn new() -> Self {
-        CtmcAggregate {
-            theory: StabilityVerdict::Borderline,
-            votes: ClassVotes::default(),
-            slope: Welford::new(),
-            average: Welford::new(),
-            agreeing: 0,
-            count: 0,
-            failed: 0,
-        }
-    }
-
-    fn begin(&mut self, theory: StabilityVerdict) {
-        *self = CtmcAggregate::new();
-        self.theory = theory;
-    }
-
-    fn push(&mut self, outcome: &ReplicationOutcome) {
-        self.votes.push(outcome.class);
-        self.slope.push(outcome.tail_slope);
-        self.average.push(outcome.tail_average);
-        if verdict_agrees(self.theory, outcome.class) {
-            self.agreeing += 1;
-        }
-        self.count += 1;
-    }
-
-    /// The full aggregation state, bit-exactly, for checkpointing.
-    fn snapshot(&self) -> AggSnapshot {
-        AggSnapshot {
-            theory: self.theory,
-            votes: self.votes,
-            slope: self.slope,
-            average: self.average,
-            events: Welford::new(),
-            agreeing: self.agreeing,
-            truncated: 0,
-            count: self.count,
-            failed: self.failed,
-        }
-    }
-
-    /// Rebuilds the state captured by [`CtmcAggregate::snapshot`].
-    fn restore(&mut self, snap: &AggSnapshot) {
-        *self = CtmcAggregate {
-            theory: snap.theory,
-            votes: snap.votes,
-            slope: snap.slope,
-            average: snap.average,
-            agreeing: snap.agreeing,
-            count: snap.count,
-            failed: snap.failed,
-        };
-    }
-
-    fn finish(&mut self, scenario: &Scenario, config: &EngineConfig) -> ScenarioOutcome {
-        let majority = self.votes.majority();
-        ScenarioOutcome {
-            scenario_id: scenario.id,
-            label: scenario.label.clone(),
-            theory: self.theory,
-            votes: self.votes,
-            majority,
-            tail_slope: self.slope.estimate(config.confidence),
-            tail_average: self.average.estimate(config.confidence),
-            agreement: if self.count == 0 {
-                1.0
-            } else {
-                f64::from(self.agreeing) / f64::from(self.count)
-            },
-            agrees: verdict_agrees(self.theory, majority),
-            failed_replications: self.failed,
-        }
-    }
-}
-
-/// Incremental aggregation of one agent scenario's replications.
-struct AgentAggregate {
-    theory: StabilityVerdict,
-    votes: ClassVotes,
-    slope: Welford,
-    average: Welford,
-    events: Welford,
-    truncated: u32,
-    /// Replications quarantined (no vote, no sample) for this scenario.
-    failed: u32,
-}
-
-impl AgentAggregate {
-    fn new() -> Self {
-        AgentAggregate {
-            theory: StabilityVerdict::Borderline,
-            votes: ClassVotes::default(),
-            slope: Welford::new(),
-            average: Welford::new(),
-            events: Welford::new(),
-            truncated: 0,
-            failed: 0,
-        }
-    }
-
-    fn begin(&mut self, theory: StabilityVerdict) {
-        *self = AgentAggregate::new();
-        self.theory = theory;
-    }
-
-    fn push(&mut self, outcome: &crate::agent::AgentReplication) {
-        self.votes.push(outcome.class);
-        self.slope.push(outcome.tail_slope);
-        self.average.push(outcome.tail_average);
-        self.events.push(outcome.events as f64);
-        self.truncated += u32::from(outcome.truncated);
-    }
-
-    /// The full aggregation state, bit-exactly, for checkpointing.
-    fn snapshot(&self) -> AggSnapshot {
-        AggSnapshot {
-            theory: self.theory,
-            votes: self.votes,
-            slope: self.slope,
-            average: self.average,
-            events: self.events,
-            agreeing: 0,
-            truncated: self.truncated,
-            count: 0,
-            failed: self.failed,
-        }
-    }
-
-    /// Rebuilds the state captured by [`AgentAggregate::snapshot`].
-    fn restore(&mut self, snap: &AggSnapshot) {
-        *self = AgentAggregate {
-            theory: snap.theory,
-            votes: snap.votes,
-            slope: snap.slope,
-            average: snap.average,
-            events: snap.events,
-            truncated: snap.truncated,
-            failed: snap.failed,
-        };
-    }
-
-    fn finish(&mut self, scenario: &AgentScenario, config: &EngineConfig) -> AgentOutcome {
-        let majority = self.votes.majority();
-        AgentOutcome {
-            scenario_id: scenario.id,
-            label: scenario.label.clone(),
-            theory: self.theory,
-            votes: self.votes,
-            majority,
-            tail_slope: self.slope.estimate(config.confidence),
-            tail_average: self.average.estimate(config.confidence),
-            agrees: verdict_agrees(self.theory, majority),
-            truncated_replications: self.truncated,
-            mean_events: self.events.mean(),
-            failed_replications: self.failed,
-        }
     }
 }
 

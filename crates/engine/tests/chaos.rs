@@ -16,11 +16,14 @@
 //!
 //! The checkpoint tests simulate a crash by panicking mid-delivery and then
 //! resume from the surviving checkpoint file, asserting the combined run is
-//! byte-identical to an uninterrupted one.
+//! byte-identical to an uninterrupted one. The tests that take a [`Kind`]
+//! run once per workload kind, since every kind streams through the same
+//! pipeline and must keep the same contract.
 
 use engine::{
-    artifact, EngineConfig, Error, FailurePolicy, FaultPlan, ReplicationFailure, ReplicationRecord,
-    ReplicationSink, Scenario, ScenarioOutcome, Session, StreamPlan, StreamStats, Workload,
+    artifact, AgentScenario, Axis, CodedGridSpec, EngineConfig, Error, FailurePolicy, FaultPlan,
+    ReplicationFailure, ReplicationRecord, ReplicationSink, Scenario, ScenarioOutcome, Session,
+    SessionBuilder, SessionOutput, StreamPlan, StreamStats, Workload,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -103,23 +106,55 @@ fn config(jobs: usize, policy: FailurePolicy) -> EngineConfig {
         .with_failure_policy(policy)
 }
 
-fn session(jobs: usize, policy: FailurePolicy, faults: Option<FaultPlan>) -> Session {
-    let mut builder = Session::builder()
+/// The workload kinds a session streams. Grid workloads replicate CTMC
+/// scenarios and coded workloads replicate agent scenarios on the coded
+/// kernel.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Ctmc,
+    Agent,
+    Coded,
+}
+
+/// Two scenarios of `kind` with stream keys 0 and 1.
+fn workload(kind: Kind) -> Workload {
+    match kind {
+        Kind::Ctmc => Workload::ctmc(scenarios()),
+        Kind::Agent => Workload::agent(vec![
+            AgentScenario::new(0, "stable", example1(1.0)),
+            AgentScenario::new(1, "transient", example1(4.0)),
+        ]),
+        Kind::Coded => Workload::coded(&CodedGridSpec::headline(
+            Axis::new("f", vec![0.1, 0.9]),
+            vec![2],
+            vec![4],
+            1.0,
+        )),
+    }
+}
+
+fn builder(kind: Kind, jobs: usize, policy: FailurePolicy) -> SessionBuilder {
+    Session::builder()
         .config(config(jobs, policy))
-        .workload(Workload::ctmc(scenarios()));
+        .workload(workload(kind))
+}
+
+/// A fault-free stream of `kind`: its output and everything it delivered.
+fn fault_free_stream(kind: Kind) -> (SessionOutput, Collector) {
+    let mut sink = Collector::default();
+    let output = builder(kind, 1, FailurePolicy::FailFast)
+        .build()
+        .expect("valid session")
+        .stream(&mut sink);
+    (output, sink)
+}
+
+fn session(jobs: usize, policy: FailurePolicy, faults: Option<FaultPlan>) -> Session {
+    let mut builder = builder(Kind::Ctmc, jobs, policy);
     if let Some(plan) = faults {
         builder = builder.faults(plan);
     }
     builder.build().expect("valid session")
-}
-
-fn baseline(jobs: usize) -> (Vec<ScenarioOutcome>, Collector) {
-    let mut sink = Collector::default();
-    let outcomes = session(jobs, FailurePolicy::FailFast, None)
-        .stream(&mut sink)
-        .into_ctmc()
-        .expect("ctmc workload");
-    (outcomes, sink)
 }
 
 /// A per-test temporary file path (the suite runs tests in parallel, so
@@ -130,7 +165,7 @@ fn temp_path(name: &str) -> PathBuf {
 
 #[test]
 fn quarantine_survivors_are_bit_identical_to_a_fault_free_run() {
-    let (_, fault_free) = baseline(1);
+    let (_, fault_free) = fault_free_stream(Kind::Ctmc);
     let killed = [(0u64, 2u32), (1, 5)];
     let plan = FaultPlan::new().panic_at(0, 2).panic_at(1, 5);
 
@@ -183,13 +218,13 @@ fn quarantine_survivors_are_bit_identical_to_a_fault_free_run() {
 
 #[test]
 fn retry_converges_on_transient_faults_and_matches_the_fault_free_run() {
-    let (fault_free_outcomes, fault_free) = baseline(1);
+    let (fault_free_output, fault_free) = fault_free_stream(Kind::Ctmc);
     // Two replications fail twice each before succeeding: Retry with three
     // attempts absorbs them completely.
     let plan = FaultPlan::new().transient_at(0, 1, 2).transient_at(1, 4, 2);
     for jobs in [1, 4] {
         let mut sink = Collector::default();
-        let outcomes = session(
+        let output = session(
             jobs,
             FailurePolicy::Retry {
                 attempts: 3,
@@ -197,14 +232,12 @@ fn retry_converges_on_transient_faults_and_matches_the_fault_free_run() {
             },
             Some(plan.clone()),
         )
-        .stream(&mut sink)
-        .into_ctmc()
-        .expect("ctmc workload");
+        .stream(&mut sink);
         // Byte-identical to the fault-free run: same records, same
         // aggregates, no failures — the retried attempts reuse the same
         // derived streams.
         assert_eq!(sink.records, fault_free.records, "jobs = {jobs}");
-        assert_eq!(outcomes, fault_free_outcomes, "jobs = {jobs}");
+        assert_eq!(output, fault_free_output, "jobs = {jobs}");
         assert!(sink.failures.is_empty());
         let stats = sink.stats.expect("stream ended");
         assert_eq!(stats.failed, 0);
@@ -291,32 +324,81 @@ fn sink_panic_terminates_blocked_workers_without_poison_cascades() {
         "the surfaced panic must be the sink's own, got: {message}"
     );
     // The records delivered before the crash are the fault-free prefix.
-    let (_, fault_free) = baseline(1);
+    let (_, fault_free) = fault_free_stream(Kind::Ctmc);
     assert_eq!(sink.inner.records, fault_free.records[..2]);
 }
 
-#[test]
-fn a_crashed_run_resumes_from_its_checkpoint_byte_identically() {
-    let (uninterrupted, fault_free) = baseline(1);
-    let uninterrupted_csv = artifact::outcomes_csv(&uninterrupted);
-    let uninterrupted_json = artifact::outcomes_json(&uninterrupted);
+/// A `nan` fault makes the replication's classification non-finite; the
+/// pipeline must reject it as a typed failure on every workload kind, and
+/// leave every other replication untouched.
+fn nan_fault_is_rejected(kind: Kind) {
+    let (_, fault_free) = fault_free_stream(kind);
+    let expected: Vec<ReplicationRecord> = fault_free
+        .records
+        .iter()
+        .filter(|r| (r.scenario_id, r.replication) != (0, 1))
+        .copied()
+        .collect();
+    for jobs in [1, 4] {
+        let mut sink = Collector::default();
+        builder(
+            kind,
+            jobs,
+            FailurePolicy::Quarantine {
+                max_failures: u32::MAX,
+            },
+        )
+        .faults(FaultPlan::new().nan_at(0, 1))
+        .build()
+        .expect("valid session")
+        .stream(&mut sink);
 
-    for jobs in [1, 4, 8] {
-        let path = temp_path(&format!("resume-{jobs}"));
+        assert_eq!(sink.failures.len(), 1, "{kind:?}, jobs = {jobs}");
+        let failure = &sink.failures[0];
+        assert_eq!((failure.scenario_id, failure.replication), (0, 1));
+        assert!(
+            failure.payload.starts_with("non-finite statistic"),
+            "{kind:?}: payload {}",
+            failure.payload
+        );
+        let stats = sink.stats.expect("stream ended");
+        assert_eq!(stats.non_finite, 1, "{kind:?}, jobs = {jobs}");
+        assert_eq!(stats.failed, 1, "{kind:?}, jobs = {jobs}");
+        assert_eq!(sink.records, expected, "{kind:?}, jobs = {jobs}");
+    }
+}
+
+#[test]
+fn a_nan_fault_on_a_ctmc_stream_is_a_typed_non_finite_failure() {
+    nan_fault_is_rejected(Kind::Ctmc);
+}
+
+#[test]
+fn a_nan_fault_on_an_agent_stream_is_a_typed_non_finite_failure() {
+    nan_fault_is_rejected(Kind::Agent);
+}
+
+/// Crashes a checkpointed run of `kind` while it delivers record
+/// `crash_at` (0-based), resumes it, and checks the finished run against an
+/// uninterrupted one. With 6 replications per scenario, a `crash_at` that
+/// is not a multiple of 6 leaves a frontier that stopped mid-scenario, so
+/// the checkpoint carries a partial aggregate.
+fn crash_and_resume(kind: Kind) {
+    let (uninterrupted, fault_free) = fault_free_stream(kind);
+    for (jobs, crash_at) in [(1, 8), (4, 6), (8, 9)] {
+        let path = temp_path(&format!("resume-{kind:?}-{jobs}"));
         let _ = std::fs::remove_file(&path);
 
-        // "Crash" deterministically while delivering the 9th record: the
-        // checkpoint file then holds the 8-record completed prefix (the
-        // crashing record is never checkpointed), at any worker count.
+        // The crashing record is never checkpointed: the file holds the
+        // `crash_at`-record completed prefix at any worker count.
         let mut crashing = PanicAt {
-            n: 8,
+            n: crash_at,
             inner: Collector::default(),
         };
-        let mut builder = Session::builder()
-            .config(config(jobs, FailurePolicy::FailFast))
-            .workload(Workload::ctmc(scenarios()))
-            .checkpoint(engine::CheckpointSpec::new(&path));
-        let session = builder.build().expect("valid session");
+        let session = builder(kind, jobs, FailurePolicy::FailFast)
+            .checkpoint(engine::CheckpointSpec::new(&path))
+            .build()
+            .expect("valid session");
         let crash = catch_unwind(AssertUnwindSafe(|| {
             session.stream(&mut crashing);
         }));
@@ -325,27 +407,55 @@ fn a_crashed_run_resumes_from_its_checkpoint_byte_identically() {
 
         // Resume with an identically-configured session and finish.
         let mut resumed_sink = Collector::default();
-        builder = Session::builder()
-            .config(config(jobs, FailurePolicy::FailFast))
-            .workload(Workload::ctmc(scenarios()));
-        let resumed = builder
+        let resumed = builder(kind, jobs, FailurePolicy::FailFast)
             .build()
             .expect("valid session")
             .resume_stream(&path, &mut resumed_sink)
-            .expect("resume from a matching checkpoint")
-            .into_ctmc()
-            .expect("ctmc workload");
+            .expect("resume from a matching checkpoint");
 
-        // The combined run is byte-identical to the uninterrupted one:
-        // same aggregates, same artifact bytes, and the resumed tail picks
-        // up exactly where the checkpoint left off.
-        assert_eq!(resumed, uninterrupted, "jobs = {jobs}");
-        assert_eq!(artifact::outcomes_csv(&resumed), uninterrupted_csv);
-        assert_eq!(artifact::outcomes_json(&resumed), uninterrupted_json);
-        assert_eq!(resumed_sink.records, fault_free.records[8..]);
+        // The combined run is byte-identical to the uninterrupted one, and
+        // the resumed tail picks up exactly where the checkpoint left off.
+        let context = format!("{kind:?}, jobs = {jobs}, crash at {crash_at}");
+        assert_eq!(
+            format!("{resumed:?}"),
+            format!("{uninterrupted:?}"),
+            "{context}"
+        );
+        assert_eq!(
+            resumed_sink.records,
+            fault_free.records[crash_at..],
+            "{context}"
+        );
+        if let (SessionOutput::Ctmc(resumed), SessionOutput::Ctmc(uninterrupted)) =
+            (&resumed, &uninterrupted)
+        {
+            assert_eq!(
+                artifact::outcomes_csv(resumed),
+                artifact::outcomes_csv(uninterrupted)
+            );
+            assert_eq!(
+                artifact::outcomes_json(resumed),
+                artifact::outcomes_json(uninterrupted)
+            );
+        }
 
         let _ = std::fs::remove_file(&path);
     }
+}
+
+#[test]
+fn a_crashed_run_resumes_from_its_checkpoint_byte_identically() {
+    crash_and_resume(Kind::Ctmc);
+}
+
+#[test]
+fn a_crashed_agent_run_resumes_from_its_checkpoint_byte_identically() {
+    crash_and_resume(Kind::Agent);
+}
+
+#[test]
+fn a_crashed_coded_run_resumes_from_its_checkpoint_byte_identically() {
+    crash_and_resume(Kind::Coded);
 }
 
 #[test]
