@@ -65,7 +65,7 @@ pub mod policy;
 pub mod sim;
 
 pub use error::SwarmError;
-pub use model::SwarmModel;
+pub use model::{SwarmJump, SwarmModel};
 pub use params::{SwarmParams, SwarmParamsBuilder};
 pub use stability::{StabilityReport, StabilityVerdict};
 pub use state::SwarmState;

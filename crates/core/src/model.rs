@@ -1,11 +1,12 @@
 //! The swarm CTMC: the generator matrix `Q` of Section III.
 
-use crate::rates::transfer_rate;
+use crate::rates::occupied_transfer_rate;
 use crate::{SwarmParams, SwarmState};
 use markov::gillespie::{Simulator, StopRule};
 use markov::{Ctmc, PathClassifier, SamplePath};
-use pieceset::TypeSpace;
+use pieceset::{PieceSet, TypeSpace};
 use rand::Rng;
+use std::cell::RefCell;
 
 /// The Zhu–Hajek swarm model as a continuous-time Markov chain over type
 /// counts.
@@ -105,54 +106,98 @@ impl SwarmModel {
     }
 }
 
+/// One transition of the swarm CTMC, as a change to the type counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SwarmJump {
+    /// A type-`C` peer arrives.
+    Add(PieceSet),
+    /// A type-`C` peer leaves: a peer seed departs, or (`γ = ∞`) a peer
+    /// completes its collection.
+    Remove(PieceSet),
+    /// A type-`C` peer downloads a piece and becomes the second type.
+    Move(PieceSet, PieceSet),
+}
+
+thread_local! {
+    /// The occupied `(type, count)` pairs of the state being expanded,
+    /// reused from event to event so a jump allocates nothing.
+    static OCCUPIED: RefCell<Vec<(PieceSet, u32)>> = const { RefCell::new(Vec::new()) };
+}
+
 impl Ctmc for SwarmModel {
     type State = SwarmState;
+    type Jump = SwarmJump;
 
-    fn transitions(&self, state: &SwarmState, out: &mut Vec<(SwarmState, f64)>) {
+    fn transitions(&self, state: &SwarmState, out: &mut Vec<(SwarmJump, f64)>) {
         let full = self.params.full_type();
         let gamma_finite = !self.params.departs_immediately();
 
-        // Exogenous arrivals.
+        // Exogenous arrivals. With γ = ∞ an arriving peer that already has
+        // everything would depart instantly; validation forbids λ_F > 0 in
+        // that case.
         for (c, rate) in self.params.arrivals() {
-            let mut next = state.clone();
-            // With γ = ∞ an arriving peer that already has everything would
-            // depart instantly; validation forbids λ_F > 0 in that case.
-            next.add_peer(c);
-            out.push((next, rate));
+            out.push((SwarmJump::Add(c), rate));
         }
 
         // Peer-seed departures.
         if gamma_finite {
             let seeds = state.count(full);
             if seeds > 0 {
-                let mut next = state.clone();
-                next.remove_peer(full);
-                out.push((next, self.params.seed_departure_rate() * f64::from(seeds)));
+                out.push((
+                    SwarmJump::Remove(full),
+                    self.params.seed_departure_rate() * f64::from(seeds),
+                ));
             }
         }
 
-        // Piece transfers.
-        let occupied: Vec<_> = state.occupied_types().collect();
-        for &(c, _) in &occupied {
-            if c == full {
-                continue;
-            }
-            for piece in full.difference(c).iter() {
-                let rate = transfer_rate(&self.params, state, c, piece);
-                if rate <= 0.0 {
+        // Piece transfers: `n` and the occupied types once per event, not
+        // once per candidate.
+        OCCUPIED.with_borrow_mut(|occupied| {
+            occupied.clear();
+            occupied.extend(state.occupied_types());
+            let n: u64 = occupied.iter().map(|&(_, x)| u64::from(x)).sum();
+            for &(c, x_c) in occupied.iter() {
+                if c == full {
                     continue;
                 }
-                let target_type = c.with(piece);
-                let mut next = state.clone();
-                if target_type == full && !gamma_finite {
-                    // Completion is an immediate departure when γ = ∞.
-                    next.remove_peer(c);
-                } else {
-                    next.move_peer(c, target_type);
+                for piece in full.difference(c).iter() {
+                    let rate = occupied_transfer_rate(
+                        &self.params,
+                        n,
+                        c,
+                        x_c,
+                        piece,
+                        occupied.iter().copied(),
+                    );
+                    if rate <= 0.0 {
+                        continue;
+                    }
+                    let target_type = c.with(piece);
+                    let jump = if target_type == full && !gamma_finite {
+                        // Completion is an immediate departure when γ = ∞.
+                        SwarmJump::Remove(c)
+                    } else {
+                        SwarmJump::Move(c, target_type)
+                    };
+                    out.push((jump, rate));
                 }
-                out.push((next, rate));
             }
+        });
+    }
+
+    fn apply(&self, state: &mut SwarmState, jump: &SwarmJump) {
+        match *jump {
+            SwarmJump::Add(c) => state.add_peer(c),
+            SwarmJump::Remove(c) => state.remove_peer(c),
+            SwarmJump::Move(from, to) => state.move_peer(from, to),
         }
+    }
+
+    /// Every jump changes a count: arrivals add a peer, departures remove
+    /// an existing one, and a download moves a peer to a strictly larger
+    /// type.
+    fn is_self_loop(&self, _state: &SwarmState, _jump: &SwarmJump) -> bool {
+        false
     }
 }
 
@@ -179,10 +224,13 @@ mod tests {
         )
     }
 
+    /// The transitions of `s` as `(target state, rate)` pairs.
     fn transitions_of(m: &SwarmModel, s: &SwarmState) -> Vec<(SwarmState, f64)> {
         let mut out = Vec::new();
         m.transitions(s, &mut out);
-        out
+        out.iter()
+            .map(|(jump, rate)| (m.target(s, jump), *rate))
+            .collect()
     }
 
     #[test]

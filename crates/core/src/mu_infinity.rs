@@ -36,6 +36,9 @@ pub enum MuInfinityState {
 pub struct MuInfinityProcess {
     num_pieces: usize,
     lambda: f64,
+    /// `z_pmf(z)` for `z < MAX_Z_SUPPORT`, tabulated once: a top-layer
+    /// event reads up to that many of them.
+    z_table: Vec<f64>,
 }
 
 impl MuInfinityProcess {
@@ -56,7 +59,13 @@ impl MuInfinityProcess {
                 "λ = {lambda} must be finite and positive"
             )));
         }
-        Ok(MuInfinityProcess { num_pieces, lambda })
+        let mut process = MuInfinityProcess {
+            num_pieces,
+            lambda,
+            z_table: Vec::new(),
+        };
+        process.z_table = (0..MAX_Z_SUPPORT).map(|z| process.z_pmf(z)).collect();
+        Ok(process)
     }
 
     /// Number of pieces `K`.
@@ -119,8 +128,10 @@ fn binomial(n: u64, k: u64) -> f64 {
 /// cap is folded into the largest jump so row sums stay exact.
 const MAX_Z_SUPPORT: u64 = 512;
 
+/// A jump of the watched process is the state it leads to.
 impl Ctmc for MuInfinityProcess {
     type State = MuInfinityState;
+    type Jump = MuInfinityState;
 
     fn transitions(&self, state: &MuInfinityState, out: &mut Vec<(MuInfinityState, f64)>) {
         let k = self.num_pieces;
@@ -168,9 +179,10 @@ impl Ctmc for MuInfinityProcess {
                 ));
                 // Arrival holding the missing piece: resolve the coin-flip
                 // exchange. Departing old peers: Z ≤ n−1 → (n − Z, K−1).
+                // Z = 0 is a self-loop: it counts in the row sum, and the
+                // simulator drops it.
                 let mut remaining = 1.0;
-                for z in 0..n.min(MAX_Z_SUPPORT) {
-                    let p = self.z_pmf(z);
+                for (z, &p) in (0..n).zip(&self.z_table) {
                     remaining -= p;
                     out.push((
                         MuInfinityState::Uniform {
@@ -184,14 +196,12 @@ impl Ctmc for MuInfinityProcess {
                 // wiped out and the newcomer remains alone with 1 + t pieces.
                 if remaining > 1e-15 {
                     let mut takeover_total = 0.0;
-                    let mut takeover = Vec::with_capacity(k - 1);
                     for t in 0..=(k - 2) {
-                        let p = self.takeover_pmf(n, t);
-                        takeover_total += p;
-                        takeover.push(p);
+                        takeover_total += self.takeover_pmf(n, t);
                     }
                     if takeover_total > 0.0 {
-                        for (t, p) in takeover.into_iter().enumerate() {
+                        for t in 0..=(k - 2) {
+                            let p = self.takeover_pmf(n, t);
                             // Normalise within the takeover block so the total
                             // transition rate is exactly λ · remaining.
                             out.push((
@@ -214,6 +224,10 @@ impl Ctmc for MuInfinityProcess {
                 }
             }
         }
+    }
+
+    fn apply(&self, state: &mut MuInfinityState, next: &MuInfinityState) {
+        *state = *next;
     }
 }
 

@@ -25,23 +25,39 @@ pub fn transfer_rate(params: &SwarmParams, state: &SwarmState, c: PieceSet, piec
     if n == 0 {
         return 0.0;
     }
-    let x_c = f64::from(state.count(c));
-    if x_c == 0.0 {
+    let x_c = state.count(c);
+    if x_c == 0 {
         return 0.0;
     }
+    occupied_transfer_rate(params, n, c, x_c, piece, state.occupied_types())
+}
+
+/// Eq. (1) for an occupied type: `x_c ≥ 1` peers of type `c` missing
+/// `piece`, among `n` peers whose occupied `(type, count)` pairs are
+/// `occupied`, in increasing type order. The one evaluation of eq. (1):
+/// [`transfer_rate`] and the swarm CTMC's generator both call it, so the
+/// simulator draws from bit-identical rates whichever computed them.
+pub(crate) fn occupied_transfer_rate(
+    params: &SwarmParams,
+    n: u64,
+    c: PieceSet,
+    x_c: u32,
+    piece: PieceId,
+    occupied: impl IntoIterator<Item = (PieceSet, u32)>,
+) -> f64 {
     let k = params.num_pieces();
     let needed = (k - c.len()) as f64;
     let seed_term = params.seed_rate() / needed;
 
     let mut peer_term = 0.0;
-    for (s, x_s) in state.occupied_types() {
+    for (s, x_s) in occupied {
         if s.contains(piece) {
             let useful = s.difference(c).len() as f64;
             debug_assert!(useful >= 1.0);
             peer_term += f64::from(x_s) / useful;
         }
     }
-    (x_c / n as f64) * (seed_term + params.contact_rate() * peer_term)
+    (f64::from(x_c) / n as f64) * (seed_term + params.contact_rate() * peer_term)
 }
 
 /// The aggregate rate at which type-`C` peers leave the type-`C` group

@@ -434,16 +434,53 @@ impl Workload {
     /// skipping).
     #[must_use]
     pub fn len(&self) -> usize {
-        match &self.kind {
-            WorkloadKind::Ctmc(s) | WorkloadKind::Grid { scenarios: s, .. } => s.len(),
-            WorkloadKind::Agent(s) | WorkloadKind::Coded { scenarios: s, .. } => s.len(),
-        }
+        self.kind.scenarios().len()
     }
 
     /// Returns `true` if the workload has no scenarios to run.
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl WorkloadKind {
+    /// The scenarios, seen through the replication path they run on: grid
+    /// cells are CTMC scenarios and coded cells agent scenarios. What treats
+    /// the four kinds alike (length, checkpoint tag, checkpoint digest) goes
+    /// through here.
+    fn scenarios(&self) -> &dyn ScenarioList {
+        match self {
+            WorkloadKind::Ctmc(s) | WorkloadKind::Grid { scenarios: s, .. } => s,
+            WorkloadKind::Agent(s) | WorkloadKind::Coded { scenarios: s, .. } => s,
+        }
+    }
+}
+
+/// A scenario list of either replication path, as the kind-agnostic
+/// bookkeeping sees it.
+trait ScenarioList {
+    /// Number of scenarios.
+    fn len(&self) -> usize;
+    /// The checkpoint family tag of the list's replication path.
+    fn kind_tag(&self) -> &'static str;
+    /// Appends one `Debug` line per scenario to `desc`.
+    fn describe(&self, desc: &mut String);
+}
+
+impl<K: ScenarioKind + std::fmt::Debug> ScenarioList for Vec<K> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn kind_tag(&self) -> &'static str {
+        K::KIND
+    }
+
+    fn describe(&self, desc: &mut String) {
+        for s in self {
+            desc.push_str(&format!("{s:?}\n"));
+        }
     }
 }
 
@@ -751,27 +788,13 @@ impl Session {
             c.sync_window.to_bits(),
             self.kind_tag(),
         );
-        match &self.workload.kind {
-            WorkloadKind::Ctmc(scenarios) | WorkloadKind::Grid { scenarios, .. } => {
-                for s in scenarios {
-                    desc.push_str(&format!("{s:?}\n"));
-                }
-            }
-            WorkloadKind::Agent(scenarios) | WorkloadKind::Coded { scenarios, .. } => {
-                for s in scenarios {
-                    desc.push_str(&format!("{s:?}\n"));
-                }
-            }
-        }
+        self.workload.kind.scenarios().describe(&mut desc);
         checkpoint::fnv1a64(desc.as_bytes())
     }
 
     /// The checkpoint family tag of this workload's replication path.
     fn kind_tag(&self) -> &'static str {
-        match &self.workload.kind {
-            WorkloadKind::Ctmc(_) | WorkloadKind::Grid { .. } => Scenario::KIND,
-            WorkloadKind::Agent(_) | WorkloadKind::Coded { .. } => AgentScenario::KIND,
-        }
+        self.workload.kind.scenarios().kind_tag()
     }
 
     fn stream_from<S: ReplicationSink + Send>(

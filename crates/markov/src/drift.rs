@@ -21,8 +21,9 @@ where
     model.transitions(state, &mut buf);
     let v_here = v(state);
     buf.iter()
+        .map(|(jump, rate)| (model.target(state, jump), *rate))
         .filter(|(target, rate)| *rate > 0.0 && target != state)
-        .map(|(target, rate)| rate * (v(target) - v_here))
+        .map(|(target, rate)| rate * (v(&target) - v_here))
         .sum()
 }
 
@@ -39,9 +40,13 @@ where
     model.transitions(state, &mut buf);
     let here: Vec<f64> = vs.iter().map(|v| v(state)).collect();
     let mut out = vec![0.0; vs.len()];
-    for (target, rate) in buf.iter().filter(|(t, r)| *r > 0.0 && t != state) {
+    for (jump, rate) in &buf {
+        let target = model.target(state, jump);
+        if *rate <= 0.0 || target == *state {
+            continue;
+        }
         for (k, v) in vs.iter().enumerate() {
-            out[k] += rate * (v(target) - here[k]);
+            out[k] += rate * (v(&target) - here[k]);
         }
     }
     out
@@ -104,11 +109,15 @@ mod tests {
     }
     impl Ctmc for Mm1 {
         type State = u64;
+        type Jump = u64;
         fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
             out.push((s + 1, self.lambda));
             if *s > 0 {
                 out.push((s - 1, self.mu));
             }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
         }
     }
 

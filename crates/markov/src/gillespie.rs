@@ -137,7 +137,7 @@ impl<'a, M: Ctmc> Simulator<'a, M> {
         let mut t = 0.0;
         let mut events: u64 = 0;
         let mut path = crate::path::ScalarPath::new(0.0, (self.observable)(&state));
-        let mut buf: Vec<(M::State, f64)> = Vec::new();
+        let mut buf: Vec<(M::Jump, f64)> = Vec::new();
         let mut weights: Vec<f64> = Vec::new();
         let stop_reason;
 
@@ -152,7 +152,7 @@ impl<'a, M: Ctmc> Simulator<'a, M> {
             }
             buf.clear();
             self.model.transitions(&state, &mut buf);
-            buf.retain(|(s, r)| *r > 0.0 && *s != state);
+            buf.retain(|(jump, r)| *r > 0.0 && !self.model.is_self_loop(&state, jump));
             if buf.is_empty() {
                 stop_reason = StopReason::Absorbed;
                 break;
@@ -168,7 +168,7 @@ impl<'a, M: Ctmc> Simulator<'a, M> {
             weights.clear();
             weights.extend(buf.iter().map(|(_, r)| *r));
             let idx = sample_weighted_index(rng, &weights).expect("total rate positive");
-            state = buf.swap_remove(idx).0;
+            self.model.apply(&mut state, &buf[idx].0);
             events += 1;
             if events.is_multiple_of(self.record_every) {
                 path.record(t, (self.observable)(&state));
@@ -218,11 +218,15 @@ mod tests {
 
     impl Ctmc for Mm1 {
         type State = u64;
+        type Jump = u64;
         fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
             out.push((s + 1, self.lambda));
             if *s > 0 {
                 out.push((s - 1, self.mu));
             }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
         }
     }
 
@@ -230,10 +234,31 @@ mod tests {
     struct PureDeath;
     impl Ctmc for PureDeath {
         type State = u64;
+        type Jump = u64;
         fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
             if *s > 0 {
                 out.push((s - 1, 1.0));
             }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
+        }
+    }
+
+    /// A chain whose only transition from 0 is a self-loop next to a real
+    /// jump: the self-loop's rate must not enter the holding time.
+    struct LoopOrStep;
+    impl Ctmc for LoopOrStep {
+        type State = u64;
+        type Jump = u64;
+        fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
+            if *s == 0 {
+                out.push((0, 1e6));
+                out.push((1, 1.0));
+            }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
         }
     }
 
@@ -283,6 +308,23 @@ mod tests {
         assert_eq!(run.final_state, 0);
         assert_eq!(run.stop_reason, StopReason::Absorbed);
         assert_eq!(run.events, 5);
+    }
+
+    #[test]
+    fn self_loops_are_dropped_before_the_holding_time() {
+        // With the self-loop counted the mean holding time would be ~1e-6;
+        // without it, the single real jump at rate 1 takes ~1 on average.
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut total = 0.0;
+        for _ in 0..200 {
+            let run = Simulator::new(&LoopOrStep).run(0, StopRule::at_time(1e9), &mut rng);
+            assert_eq!(run.final_state, 1);
+            assert_eq!(run.events, 1);
+            assert_eq!(run.stop_reason, StopReason::Absorbed);
+            total += run.final_time;
+        }
+        let mean = total / 200.0;
+        assert!((mean - 1.0).abs() < 0.25, "mean holding time {mean}");
     }
 
     #[test]

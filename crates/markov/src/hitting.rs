@@ -196,11 +196,15 @@ mod tests {
     }
     impl Ctmc for Mm1 {
         type State = u64;
+        type Jump = u64;
         fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
             out.push((s + 1, self.lambda));
             if *s > 0 {
                 out.push((s - 1, self.mu));
             }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
         }
     }
 

@@ -8,7 +8,8 @@
 //! of the P2P model itself:
 //!
 //! * [`Ctmc`] — the generator abstraction: a model enumerates out-going
-//!   transitions `(state, rate)` from any state.
+//!   transitions `(jump, rate)` from any state and applies a jump to a state
+//!   in place.
 //! * [`gillespie`] — an exact-jump (Gillespie / stochastic simulation
 //!   algorithm) simulator with observers and stopping rules.
 //! * [`alias`] — Walker/Vose alias tables for `O(1)` categorical sampling
@@ -36,11 +37,22 @@
 //! use rand::SeedableRng;
 //!
 //! struct Mm1 { lambda: f64, mu: f64 }
+//!
+//! #[derive(Debug, Clone, Copy)]
+//! enum Step { Arrive, Serve }
+//!
 //! impl Ctmc for Mm1 {
 //!     type State = u64;
-//!     fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
-//!         out.push((s + 1, self.lambda));
-//!         if *s > 0 { out.push((s - 1, self.mu)); }
+//!     type Jump = Step;
+//!     fn transitions(&self, s: &u64, out: &mut Vec<(Step, f64)>) {
+//!         out.push((Step::Arrive, self.lambda));
+//!         if *s > 0 { out.push((Step::Serve, self.mu)); }
+//!     }
+//!     fn apply(&self, s: &mut u64, step: &Step) {
+//!         match step {
+//!             Step::Arrive => *s += 1,
+//!             Step::Serve => *s -= 1,
+//!         }
 //!     }
 //! }
 //!
@@ -75,21 +87,45 @@ pub use path::{SamplePath, TrendEstimate};
 /// A continuous-time Markov chain described by its generator.
 ///
 /// Implementors enumerate the positive entries of the generator row of a
-/// state: each `(target, rate)` pair with `rate > 0` contributes
-/// `q(state, target) = rate`. Self-loops (`target == state`) are permitted
-/// and ignored by the simulator and drift computations.
+/// state as jumps: each `(jump, rate)` pair with `rate > 0` contributes
+/// `q(state, target) = rate`, where `target` is `state` with `jump` applied
+/// by [`Ctmc::apply`]. A jump is a state *change* (add a peer, move a peer),
+/// so a simulator mutates one state in place instead of copying a target
+/// state per candidate. Self-loops (`target == state`) are permitted and
+/// ignored by the simulator and drift computations.
 pub trait Ctmc {
     /// The state type of the chain.
     type State: Clone + PartialEq + core::fmt::Debug;
+    /// A transition's effect on the state.
+    type Jump: core::fmt::Debug;
 
     /// Appends the out-going transitions of `state` to `out`.
     ///
     /// `out` is cleared by the caller before the call. Rates must be finite
     /// and non-negative; zero-rate entries are allowed and ignored.
-    fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::State, f64)>);
+    fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::Jump, f64)>);
+
+    /// Applies `jump`, one of the transitions of `state`, to `state` in
+    /// place.
+    fn apply(&self, state: &mut Self::State, jump: &Self::Jump);
+
+    /// The state `jump` leads to from `state`.
+    fn target(&self, state: &Self::State, jump: &Self::Jump) -> Self::State {
+        let mut next = state.clone();
+        self.apply(&mut next, jump);
+        next
+    }
+
+    /// Whether `jump` leaves `state` unchanged. The default compares the
+    /// [`Ctmc::target`] with `state`; a model whose jumps always change the
+    /// state overrides it to skip the copy.
+    fn is_self_loop(&self, state: &Self::State, jump: &Self::Jump) -> bool {
+        self.target(state, jump) == *state
+    }
 
     /// Total out-going rate of `state` (the uniformization constant
-    /// contribution). The default implementation sums the transition rates.
+    /// contribution), self-loops included. The default implementation sums
+    /// the transition rates.
     fn total_rate(&self, state: &Self::State) -> f64 {
         let mut buf = Vec::new();
         self.transitions(state, &mut buf);
@@ -99,9 +135,22 @@ pub trait Ctmc {
 
 impl<M: Ctmc + ?Sized> Ctmc for &M {
     type State = M::State;
+    type Jump = M::Jump;
 
-    fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::State, f64)>) {
+    fn transitions(&self, state: &Self::State, out: &mut Vec<(Self::Jump, f64)>) {
         (**self).transitions(state, out);
+    }
+
+    fn apply(&self, state: &mut Self::State, jump: &Self::Jump) {
+        (**self).apply(state, jump);
+    }
+
+    fn target(&self, state: &Self::State, jump: &Self::Jump) -> Self::State {
+        (**self).target(state, jump)
+    }
+
+    fn is_self_loop(&self, state: &Self::State, jump: &Self::Jump) -> bool {
+        (**self).is_self_loop(state, jump)
     }
 
     fn total_rate(&self, state: &Self::State) -> f64 {

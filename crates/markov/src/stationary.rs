@@ -125,7 +125,8 @@ where
         let state = states[i].clone();
         model.transitions(&state, &mut buf);
         let mut row = Vec::new();
-        for (target, rate) in buf.drain(..) {
+        for (jump, rate) in buf.drain(..) {
+            let target = model.target(&state, &jump);
             if rate <= 0.0 || target == state || !keep(&target) {
                 continue;
             }
@@ -207,11 +208,15 @@ mod tests {
     }
     impl Ctmc for Mm1 {
         type State = u64;
+        type Jump = u64;
         fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
             out.push((s + 1, self.lambda));
             if *s > 0 {
                 out.push((s - 1, self.mu));
             }
+        }
+        fn apply(&self, s: &mut u64, next: &u64) {
+            *s = *next;
         }
     }
 
@@ -278,12 +283,16 @@ mod tests {
         struct Tree;
         impl Ctmc for Tree {
             type State = u64;
+            type Jump = u64;
             fn transitions(&self, s: &u64, out: &mut Vec<(u64, f64)>) {
                 out.push((2 * s + 1, 1.0));
                 out.push((2 * s + 2, 2.0));
                 if *s > 0 {
                     out.push(((s - 1) / 2, 3.0));
                 }
+            }
+            fn apply(&self, s: &mut u64, next: &u64) {
+                *s = *next;
             }
         }
         let dist =
@@ -298,11 +307,15 @@ mod tests {
         struct TwoState;
         impl Ctmc for TwoState {
             type State = u8;
+            type Jump = u8;
             fn transitions(&self, s: &u8, out: &mut Vec<(u8, f64)>) {
                 match s {
                     0 => out.push((1, 2.0)),
                     _ => out.push((0, 6.0)),
                 }
+            }
+            fn apply(&self, s: &mut u8, next: &u8) {
+                *s = *next;
             }
         }
         let dist =

@@ -3,7 +3,8 @@
 
 use p2p_stability::markov::Ctmc;
 use p2p_stability::pieceset::{PieceId, PieceSet, TypeSpace};
-use p2p_stability::swarm::{stability, SwarmModel, SwarmParams, SwarmState};
+use p2p_stability::swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
+use p2p_stability::swarm::{rates, stability, SwarmModel, SwarmParams, SwarmState};
 use proptest::prelude::*;
 
 /// Random but valid parameters for a small file.
@@ -42,6 +43,58 @@ fn arb_state(k: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0u32..6, 1 << k)
 }
 
+/// The state `raw` describes, restricted to `params`' type space (with
+/// `γ = ∞`, full-collection peers have already left).
+fn state_from(params: &SwarmParams, raw: &[u32]) -> SwarmState {
+    let space = TypeSpace::new(params.num_pieces()).unwrap();
+    let mut state = SwarmState::empty(&space);
+    for (bits, count) in raw.iter().enumerate().take(space.num_types()) {
+        let c = PieceSet::from_bits(bits as u64);
+        if params.departs_immediately() && c == params.full_type() {
+            continue;
+        }
+        state.set_count(c, *count);
+    }
+    state
+}
+
+/// The generator row of Section III written out with copied target states
+/// and [`rates::transfer_rate`]: arrivals, then the peer-seed departure, then
+/// the transfers by increasing type and piece.
+fn reference_row(params: &SwarmParams, state: &SwarmState) -> Vec<(SwarmState, f64)> {
+    let full = params.full_type();
+    let mut row = Vec::new();
+    for (c, rate) in params.arrivals() {
+        let mut next = state.clone();
+        next.add_peer(c);
+        row.push((next, rate));
+    }
+    if !params.departs_immediately() && state.count(full) > 0 {
+        let mut next = state.clone();
+        next.remove_peer(full);
+        row.push((
+            next,
+            params.seed_departure_rate() * f64::from(state.count(full)),
+        ));
+    }
+    for (c, _) in state.occupied_types().filter(|&(c, _)| c != full) {
+        for piece in full.difference(c).iter() {
+            let rate = rates::transfer_rate(params, state, c, piece);
+            if rate <= 0.0 {
+                continue;
+            }
+            let mut next = state.clone();
+            if c.with(piece) == full && params.departs_immediately() {
+                next.remove_peer(c);
+            } else {
+                next.move_peer(c, c.with(piece));
+            }
+            row.push((next, rate));
+        }
+    }
+    row
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -49,22 +102,14 @@ proptest! {
     fn generator_rows_are_well_formed(params in arb_params(), raw in arb_state(4), seed in any::<u64>()) {
         let _ = seed;
         let model = SwarmModel::new(params.clone());
-        let space = TypeSpace::new(params.num_pieces()).unwrap();
-        let mut state = SwarmState::empty(&space);
-        for (bits, count) in raw.iter().enumerate().take(space.num_types()) {
-            let c = PieceSet::from_bits(bits as u64);
-            // γ = ∞ states never hold full-collection peers.
-            if params.departs_immediately() && c == params.full_type() {
-                continue;
-            }
-            state.set_count(c, *count);
-        }
+        let state = state_from(&params, &raw);
         let n = state.total_peers();
         let mut out = Vec::new();
         model.transitions(&state, &mut out);
 
         let mut total_rate = 0.0;
-        for (next, rate) in &out {
+        for (jump, rate) in &out {
+            let next = model.target(&state, jump);
             prop_assert!(rate.is_finite() && *rate > 0.0, "rate {rate}");
             let diff = next.total_peers() as i64 - n as i64;
             prop_assert!((-1..=1).contains(&diff), "population jumped by {diff}");
@@ -82,6 +127,42 @@ proptest! {
             + gamma_term
             + 1e-9;
         prop_assert!(total_rate <= bound, "total rate {total_rate} exceeds bound {bound}");
+    }
+
+    #[test]
+    fn jumps_match_the_reference_row_bit_for_bit(params in arb_params(), raw in arb_state(4)) {
+        // Same candidates, same order, same rate bits, and `clone + apply`
+        // lands on the reference move's copied target.
+        let model = SwarmModel::new(params.clone());
+        let state = state_from(&params, &raw);
+        let mut jumps = Vec::new();
+        model.transitions(&state, &mut jumps);
+        let reference = reference_row(&params, &state);
+        prop_assert_eq!(jumps.len(), reference.len());
+        for ((jump, rate), (expected, expected_rate)) in jumps.iter().zip(&reference) {
+            prop_assert_eq!(rate.to_bits(), expected_rate.to_bits(), "{:?}", jump);
+            prop_assert_eq!(&model.target(&state, jump), expected, "{:?}", jump);
+            prop_assert!(!model.is_self_loop(&state, jump));
+        }
+    }
+
+    #[test]
+    fn mu_infinity_table_is_the_z_pmf_bit_for_bit(k in 2usize..=6, lambda in 0.1f64..4.0, extra in 0u64..100) {
+        // From a top-layer state above the 512-value support, candidate
+        // 1 + z carries rate λ · P(Z = z) for every tabulated z.
+        let process = MuInfinityProcess::new(k, lambda).unwrap();
+        let state = MuInfinityState::Uniform { peers: 512 + extra, pieces: k - 1 };
+        let mut out = Vec::new();
+        process.transitions(&state, &mut out);
+        prop_assert!(out.len() > 512);
+        for z in 0..512u64 {
+            let (target, rate) = &out[1 + z as usize];
+            prop_assert_eq!(*target, MuInfinityState::Uniform { peers: 512 + extra - z, pieces: k - 1 });
+            prop_assert_eq!(rate.to_bits(), (lambda * process.z_pmf(z)).to_bits(), "z = {}", z);
+        }
+        // Z = 0 is the one self-loop.
+        prop_assert!(process.is_self_loop(&state, &out[1].0));
+        prop_assert!(!process.is_self_loop(&state, &out[2].0));
     }
 
     #[test]
