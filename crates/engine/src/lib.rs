@@ -40,6 +40,8 @@
 //! Parallelism is data parallelism over the flat `(scenario, replication)`
 //! task list with in-order result delivery behind a bounded reorder
 //! window; the worker count only changes the schedule, never the numbers.
+//! [`map_ordered`] runs the same scheduler over any list of independent
+//! tasks and returns their results in index order.
 //!
 //! # Example
 //!
@@ -104,7 +106,7 @@ pub use replicate::{
 };
 pub use rng::{derive_seed, replication_rng};
 pub use session::{
-    NullSink, ReplicationFailure, ReplicationRecord, ReplicationSink, Session, SessionBuilder,
-    SessionOutput, StreamPlan, StreamStats, Workload,
+    map_ordered, NullSink, ReplicationFailure, ReplicationRecord, ReplicationSink, Session,
+    SessionBuilder, SessionOutput, StreamPlan, StreamStats, Workload,
 };
 pub use stats::{Estimate, Welford};

@@ -1624,6 +1624,33 @@ fn lock_clean<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Runs `task(0)`, …, `task(n − 1)` on `jobs` workers (0 = one worker per
+/// available core) and returns the results in index order, so the result
+/// never depends on the worker count.
+///
+/// This is the session scheduler without a session: tasks self-schedule
+/// behind the same bounded reorder window, one worker runs inline on the
+/// calling thread, and a panicking task re-raises its own payload on the
+/// caller once the workers have stopped. The experiments use it for their
+/// independent demo trajectories.
+pub fn map_ordered<T, F>(jobs: usize, n: usize, task: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut results = Vec::with_capacity(n);
+    run_ordered(
+        0,
+        n,
+        jobs,
+        reorder_window(effective_jobs(jobs)),
+        || (),
+        |index, (): &mut ()| task(index),
+        |_, value| results.push(value),
+    );
+    results
+}
+
 /// Runs indexed tasks `start..total` over `jobs` workers, delivering each
 /// result through `deliver` in strict index order, and returns the
 /// scheduler's self-observation (reorder high-water mark, per-worker load,
@@ -1894,6 +1921,61 @@ mod tests {
             sched.reorder_occupancy.max() as usize <= window,
             "occupancy never exceeds the window"
         );
+    }
+
+    #[test]
+    fn map_ordered_returns_results_in_index_order_at_any_worker_count() {
+        for jobs in [0usize, 1, 2, 8] {
+            // With two or more workers, task 0 waits until the last task has
+            // finished, so results complete out of order and must be put
+            // back in sequence. (At jobs 0 the worker count is the host's.)
+            let hold_first = jobs >= 2;
+            let last_done = (Mutex::new(false), Condvar::new());
+            let results = map_ordered(jobs, 37, |i| {
+                let (done, signal) = &last_done;
+                if hold_first && i == 0 {
+                    let mut done = lock_clean(done);
+                    while !*done {
+                        done = signal.wait(done).unwrap_or_else(PoisonError::into_inner);
+                    }
+                } else if hold_first && i == 36 {
+                    *lock_clean(done) = true;
+                    signal.notify_all();
+                }
+                i * i
+            });
+            assert_eq!(
+                results,
+                (0..37).map(|i| i * i).collect::<Vec<_>>(),
+                "jobs = {jobs}"
+            );
+        }
+    }
+
+    #[test]
+    fn map_ordered_of_no_tasks_is_empty() {
+        for jobs in [0usize, 1, 2, 8] {
+            let results: Vec<usize> = map_ordered(jobs, 0, |_| unreachable!("no task runs"));
+            assert!(results.is_empty(), "jobs = {jobs}");
+        }
+    }
+
+    #[test]
+    fn map_ordered_re_raises_the_task_panic_payload() {
+        for jobs in [1usize, 2, 8] {
+            let caught = std::panic::catch_unwind(|| {
+                map_ordered(jobs, 16, |i| {
+                    assert!(i != 5, "task {i} failed on purpose");
+                    i
+                })
+            });
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(
+                panic_message(payload),
+                "task 5 failed on purpose",
+                "jobs = {jobs}"
+            );
+        }
     }
 
     #[test]

@@ -5,6 +5,12 @@
 //! tables; the bench targets in `crates/bench` print them, and the
 //! integration tests assert their qualitative content (who wins, where the
 //! crossover falls) against the paper's predictions.
+//!
+//! An experiment first computes its runs, then renders them. Sweeps go
+//! through the engine's `Session`; independent demo trajectories go through
+//! [`engine::map_ordered`], each keyed by `demo_rng(config, tag,
+//! variant)`, and come back in variant order, so a report is byte-identical
+//! at any [`ExperimentConfig::threads`].
 
 use crate::report::{fmt_num, ExperimentReport, Table};
 use crate::scenario;
@@ -28,7 +34,9 @@ pub struct ExperimentConfig {
     /// Master RNG seed (sweeps derive per-point, per-replication streams
     /// from it through the engine).
     pub seed: u64,
-    /// Worker threads for sweeps.
+    /// Worker threads for the sweeps and for the independent demo
+    /// trajectories of E4, E7, E8, E9 and E12 (0 = one worker per core).
+    /// Results come back in a fixed order, so this never changes a number.
     pub threads: usize,
     /// Replications per sweep point, combined by majority vote.
     pub replications: u32,
@@ -51,7 +59,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// The full configuration used by the bench harness.
+    /// The full configuration: the `run_experiments` default.
     #[must_use]
     pub fn full() -> Self {
         ExperimentConfig {
@@ -287,15 +295,10 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         .build()
         .expect("valid parameters");
 
-    for (variant, (name, params)) in [("transient", transient), ("stable", stable)]
-        .into_iter()
-        .enumerate()
-    {
-        let verdict = stability::classify(&params).verdict;
-        let delta = stability::delta(&params, params.full_type().without(PieceId::new(0)))
-            .expect("µ < γ in both configurations");
+    let configurations = [("transient", transient), ("stable", stable)];
+    let runs = engine::map_ordered(config.threads, configurations.len(), |variant| {
         let sim = AgentSwarm::with_config(
-            params.clone(),
+            configurations[variant].1.clone(),
             AgentConfig {
                 snapshot_interval: (config.horizon / 40.0).max(1.0),
                 ..Default::default()
@@ -304,8 +307,13 @@ pub fn one_club_growth(config: &ExperimentConfig) -> ExperimentReport {
         )
         .expect("valid simulator configuration");
         let mut rng = demo_rng(config, 0xE4, variant as u64);
-        let result = sim.run_from_one_club(initial_club, config.horizon, &mut rng);
+        sim.run_from_one_club(initial_club, config.horizon, &mut rng)
+    });
 
+    for ((name, params), result) in configurations.iter().zip(&runs) {
+        let verdict = stability::classify(params).verdict;
+        let delta = stability::delta(params, params.full_type().without(PieceId::new(0)))
+            .expect("µ < γ in both configurations");
         let mut table = Table::new(
             &format!(
                 "{name} configuration (Theorem 1: {}, Δ_F−{{1}} = {})",
@@ -474,28 +482,30 @@ pub fn policy_insensitivity(config: &ExperimentConfig) -> ExperimentReport {
             "one-club onset time (transient)",
         ],
     );
-    for (pi, name) in policies.iter().enumerate() {
+    // Variant `pi * 2 + wi` runs policy `pi` at point `wi`.
+    let points = [("stable", &stable_params), ("transient", &transient_params)];
+    let runs = engine::map_ordered(config.threads, policies.len() * points.len(), |variant| {
+        let sim = AgentSwarm::with_config(
+            points[variant % points.len()].1.clone(),
+            AgentConfig {
+                snapshot_interval: 5.0,
+                ..Default::default()
+            },
+            policy::by_name(policies[variant / points.len()]).expect("known policy"),
+        )
+        .expect("valid configuration");
+        let mut rng = demo_rng(config, 0xE7, variant as u64);
+        sim.run(&[], config.horizon, &mut rng)
+    });
+
+    for (name, results) in policies.iter().zip(runs.chunks(points.len())) {
         let mut cells = vec![(*name).to_owned()];
         let mut onset = f64::NAN;
-        for (wi, (which, params)) in [("stable", &stable_params), ("transient", &transient_params)]
-            .into_iter()
-            .enumerate()
-        {
-            let sim = AgentSwarm::with_config(
-                params.clone(),
-                AgentConfig {
-                    snapshot_interval: 5.0,
-                    ..Default::default()
-                },
-                policy::by_name(name).expect("known policy"),
-            )
-            .expect("valid configuration");
-            let mut rng = demo_rng(config, 0xE7, (pi * 2 + wi) as u64);
-            let result = sim.run(&[], config.horizon, &mut rng);
+        for ((which, params), result) in points.iter().zip(results) {
             let classifier = PathClassifier::new(params.total_arrival_rate(), 40.0);
             let class = classifier.classify(&result.peer_count_path()).class;
             cells.push(format!("{class:?}"));
-            if which == "transient" {
+            if *which == "transient" {
                 // Quasi-stability: first time the largest one-club exceeds 100 peers.
                 onset = result
                     .snapshots
@@ -565,20 +575,26 @@ pub fn network_coding(config: &ExperimentConfig) -> ExperimentReport {
             "departures",
         ],
     );
-    for (variant, f) in [lo * 0.3, lo * 0.8, (hi * 1.5).min(1.0), (hi * 4.0).min(1.0)]
-        .into_iter()
-        .enumerate()
-    {
-        let params = coded::CodedParams::gift_example(k, q, 1.0, f, 0.0, 1.0, f64::INFINITY)
-            .expect("valid coded parameters");
-        let theory = coded::theorem15_classify(&params).expect("d ∈ {0,1} arrival model");
-        let sim = coded::CodedSwarmSim::new(params).snapshot_interval(config.horizon / 200.0);
+    let fractions = [lo * 0.3, lo * 0.8, (hi * 1.5).min(1.0), (hi * 4.0).min(1.0)];
+    let params: Vec<coded::CodedParams> = fractions
+        .iter()
+        .map(|&f| {
+            coded::CodedParams::gift_example(k, q, 1.0, f, 0.0, 1.0, f64::INFINITY)
+                .expect("valid coded parameters")
+        })
+        .collect();
+    let runs = engine::map_ordered(config.threads, params.len(), |variant| {
+        let sim = coded::CodedSwarmSim::new(params[variant].clone())
+            .snapshot_interval(config.horizon / 200.0);
         let mut rng = demo_rng(config, 0xE8, variant as u64);
-        let result = sim.run(config.horizon, &mut rng);
+        sim.run(config.horizon, &mut rng)
+    });
+    for ((f, params), result) in fractions.iter().zip(&params).zip(&runs) {
+        let theory = coded::theorem15_classify(params).expect("d ∈ {0,1} arrival model");
         let classifier = PathClassifier::new(1.0, 40.0);
         let verdict = classifier.classify(&result.peer_count_path());
         sim_table.row(&[
-            fmt_num(f),
+            fmt_num(*f),
             verdict_str(theory).to_owned(),
             format!("{:?}", verdict.class),
             fmt_num(verdict.tail_slope),
@@ -623,34 +639,48 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
         k - 1
     ));
 
-    // Excursion statistics of the simulated µ = ∞ process.
-    let mut rng = demo_rng(config, 0xE9, 0);
-    let sim = markov::Simulator::new(&process).observe(|s| match s {
-        MuInfinityState::Empty => 0.0,
-        MuInfinityState::Uniform { peers, .. } => *peers as f64,
+    // Task 0 simulates the µ = ∞ process; tasks 1–3 the Conjecture 17
+    // network at each finite µ/λ.
+    let ratios = [0.5, 2.0, 8.0];
+    let paths = engine::map_ordered(config.threads, 1 + ratios.len(), |task| {
+        if task == 0 {
+            let mut rng = demo_rng(config, 0xE9, 0);
+            let sim = markov::Simulator::new(&process).observe(|s| match s {
+                MuInfinityState::Empty => 0.0,
+                MuInfinityState::Uniform { peers, .. } => *peers as f64,
+            });
+            let run = sim.run(
+                MuInfinityState::Empty,
+                markov::StopRule::time_or_events(config.horizon * 50.0, 2_000_000),
+                &mut rng,
+            );
+            run.path
+        } else {
+            let variant = task - 1;
+            let params =
+                scenario::example3([1.0, 1.0, 1.0], ratios[variant], f64::INFINITY).unwrap();
+            let model = SwarmModel::new(params);
+            let mut rng = demo_rng(config, 0x17, variant as u64);
+            model.simulate_peer_count(model.empty_state(), config.horizon, &mut rng)
+        }
     });
-    let run = sim.run(
-        MuInfinityState::Empty,
-        markov::StopRule::time_or_events(config.horizon * 50.0, 2_000_000),
-        &mut rng,
-    );
+
+    // Excursion statistics of the simulated µ = ∞ process.
+    let path = &paths[0];
     let mut excursions = Table::new(
         "µ = ∞ process sample-path statistics",
         &["quantity", "value"],
     );
     excursions.row(&[
         "returns to n ≤ 3".to_owned(),
-        run.path.upcrossings_of(3.0).to_string(),
+        path.upcrossings_of(3.0).to_string(),
     ]);
-    excursions.row(&[
-        "maximum population".to_owned(),
-        fmt_num(run.path.max_value()),
-    ]);
+    excursions.row(&["maximum population".to_owned(), fmt_num(path.max_value())]);
     excursions.row(&[
         "time-average population".to_owned(),
-        fmt_num(run.path.time_average_values()),
+        fmt_num(path.time_average_values()),
     ]);
-    let stats = markov::hitting::excursions_above(&run.path, 3.0);
+    let stats = markov::hitting::excursions_above(path, 3.0);
     excursions.row(&[
         "completed excursions above n = 3".to_owned(),
         stats.completed.to_string(),
@@ -672,14 +702,10 @@ pub fn borderline(config: &ExperimentConfig) -> ExperimentReport {
         "Conjecture 17 probe: symmetric K = 3 flat network at finite µ/λ",
         &["µ/λ", "tail slope of N", "tail average N"],
     );
-    for (variant, ratio) in [0.5, 2.0, 8.0].into_iter().enumerate() {
-        let params = scenario::example3([1.0, 1.0, 1.0], ratio, f64::INFINITY).unwrap();
-        let model = SwarmModel::new(params);
-        let mut rng = demo_rng(config, 0x17, variant as u64);
-        let path = model.simulate_peer_count(model.empty_state(), config.horizon, &mut rng);
+    for (ratio, path) in ratios.iter().zip(&paths[1..]) {
         let trend = path.trend(0.5);
         conj.row(&[
-            fmt_num(ratio),
+            fmt_num(*ratio),
             fmt_num(trend.slope),
             fmt_num(path.time_average_over(config.horizon * 0.5, config.horizon)),
         ]);
@@ -868,39 +894,47 @@ pub fn faster_retry(config: &ExperimentConfig) -> ExperimentReport {
             "transfers",
         ],
     );
-    for (gi, gifted) in [false, true].into_iter().enumerate() {
-        let mut builder = SwarmParams::builder(3)
-            .seed_rate(0.3)
-            .contact_rate(1.0)
-            .seed_departure_rate(3.0)
-            .fresh_arrivals(2.0);
-        if gifted {
-            builder = builder.arrival(PieceSet::singleton(PieceId::new(0)), 0.4);
-        }
-        let params = builder.build().expect("valid parameters");
-        for (ei, eta) in [1.0, 10.0].into_iter().enumerate() {
-            let sim = AgentSwarm::with_config(
-                params.clone(),
-                AgentConfig {
-                    retry_speedup: eta,
-                    snapshot_interval: 5.0,
-                    ..Default::default()
-                },
-                Box::new(policy::RandomUseful),
-            )
-            .expect("valid configuration");
-            let mut rng = demo_rng(config, 0x12, (gi * 2 + ei) as u64);
-            let result = sim.run_from_one_club(80, config.horizon, &mut rng);
-            let trend = result.peer_count_path().trend(0.5);
-            table.row(&[
-                gifted.to_string(),
-                fmt_num(eta),
-                fmt_num(trend.slope),
-                result.final_snapshot().groups.one_club.to_string(),
-                result.unsuccessful_contacts.to_string(),
-                result.transfers.to_string(),
-            ]);
-        }
+    let gifted = [false, true];
+    let etas = [1.0, 10.0];
+    let params: Vec<SwarmParams> = gifted
+        .iter()
+        .map(|&gifted| {
+            let mut builder = SwarmParams::builder(3)
+                .seed_rate(0.3)
+                .contact_rate(1.0)
+                .seed_departure_rate(3.0)
+                .fresh_arrivals(2.0);
+            if gifted {
+                builder = builder.arrival(PieceSet::singleton(PieceId::new(0)), 0.4);
+            }
+            builder.build().expect("valid parameters")
+        })
+        .collect();
+    // Variant `gi * 2 + ei` runs gifted setting `gi` at retry speed-up `ei`.
+    let runs = engine::map_ordered(config.threads, gifted.len() * etas.len(), |variant| {
+        let sim = AgentSwarm::with_config(
+            params[variant / etas.len()].clone(),
+            AgentConfig {
+                retry_speedup: etas[variant % etas.len()],
+                snapshot_interval: 5.0,
+                ..Default::default()
+            },
+            Box::new(policy::RandomUseful),
+        )
+        .expect("valid configuration");
+        let mut rng = demo_rng(config, 0x12, variant as u64);
+        sim.run_from_one_club(80, config.horizon, &mut rng)
+    });
+    for (variant, result) in runs.iter().enumerate() {
+        let trend = result.peer_count_path().trend(0.5);
+        table.row(&[
+            gifted[variant / etas.len()].to_string(),
+            fmt_num(etas[variant % etas.len()]),
+            fmt_num(trend.slope),
+            result.final_snapshot().groups.one_club.to_string(),
+            result.unsuccessful_contacts.to_string(),
+            result.transfers.to_string(),
+        ]);
     }
     report.push_table(table);
     report.note("faster retries multiply the number of unsuccessful contacts roughly by η");

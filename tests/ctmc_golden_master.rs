@@ -1,11 +1,14 @@
-//! Golden master for the exact CTMC simulations: bit-exact digests of
-//! trajectories and rendered reports, pinned across commits.
+//! Golden master for the exact CTMC simulations and the experiment reports:
+//! bit-exact digests of trajectories and of the rendered E1–E12 reports,
+//! pinned across commits.
 //!
 //! The `--jobs` determinism checks compare two runs of one binary; they
 //! cannot see a change that moves every run the same way. These digests can:
 //! a refactor of the generator, the Gillespie loop or the rate formula that
 //! changes one rate by one ulp, the order of the candidate transitions, or
-//! which candidates are dropped as self-loops, changes a digest here.
+//! which candidates are dropped as self-loops, changes a digest here. So does
+//! a demo trajectory that draws from another stream or lands in another row
+//! when the experiments run it on several threads.
 //!
 //! When a change is *meant* to move trajectories, rerun this test and copy
 //! the `actual` digests from the failure messages, saying why in the commit.
@@ -18,6 +21,7 @@ use p2p_stability::swarm::mu_infinity::{MuInfinityProcess, MuInfinityState};
 use p2p_stability::swarm::{SwarmModel, SwarmParams, SwarmState};
 use p2p_stability::workload::experiments::{self, ExperimentConfig};
 use p2p_stability::workload::scenario;
+use p2p_stability::workload::ExperimentReport;
 
 /// FNV-1a, 64 bits.
 struct Fnv(u64);
@@ -155,34 +159,77 @@ fn mu_infinity_run_with_its_self_loop() {
     assert_digest("µ = ∞, K = 3", h.0, 0xe736_251c_7be5_c866);
 }
 
-#[test]
-fn rendered_ctmc_reports() {
-    let config = ExperimentConfig {
+/// The configuration every rendered report below is pinned at.
+fn report_config(threads: usize) -> ExperimentConfig {
+    ExperimentConfig {
         horizon: 120.0,
         seed: 0x60_1D,
-        threads: 2,
+        threads,
         replications: 1,
         progress: false,
-    };
-    let reports = [
-        (experiments::example1(&config), 0x68d5_82e9_ff3a_0935),
-        (experiments::example2(&config), 0xba38_21b3_b29c_7b82),
-        (experiments::example3(&config), 0xcd5f_cd6e_9243_233f),
-        (experiments::one_club_growth(&config), 0xb8b3_4ac1_3b43_fdb5),
-        (
-            experiments::stability_region(&config),
-            0x9623_2e2c_c636_c8a4,
-        ),
-        (experiments::one_extra_piece(&config), 0x8319_3d95_c92a_e463),
-        (experiments::borderline(&config), 0xf87c_17bb_4b80_3df1),
-    ];
+    }
+}
+
+type Experiment = fn(&ExperimentConfig) -> ExperimentReport;
+
+/// Pinned digests of every rendered report at `report_config`:
+/// `REPORTS[i]` is E(i + 1).
+const REPORTS: [(Experiment, u64); 12] = [
+    (experiments::example1, 0x68d5_82e9_ff3a_0935),
+    (experiments::example2, 0xba38_21b3_b29c_7b82),
+    (experiments::example3, 0xcd5f_cd6e_9243_233f),
+    (experiments::one_club_growth, 0xb8b3_4ac1_3b43_fdb5),
+    (experiments::stability_region, 0x9623_2e2c_c636_c8a4),
+    (experiments::one_extra_piece, 0x8319_3d95_c92a_e463),
+    (experiments::policy_insensitivity, 0x3a7b_fc7b_d657_52ff),
+    (experiments::network_coding, 0x8c18_2c71_8831_9afb),
+    (experiments::borderline, 0xf87c_17bb_4b80_3df1),
+    (experiments::abs_bounds, 0xc6b4_5a0d_3266_a91f),
+    (experiments::lyapunov_drift, 0x4961_b9b7_b9f7_db0b),
+    (experiments::faster_retry, 0x7004_97e0_396b_7869),
+];
+
+/// Renders the reports `REPORTS[i]` for each `i` in `which` and lists every
+/// digest that differs from its pinned value.
+fn moved_reports(which: &[usize], threads: usize) -> Vec<String> {
+    let config = report_config(threads);
     let mut moved = Vec::new();
-    for (report, expected) in reports {
+    for &i in which {
+        let (experiment, expected) = REPORTS[i];
+        let report = experiment(&config);
         let mut h = Fnv::new();
         h.bytes(report.render().as_bytes());
         if h.0 != expected {
-            moved.push(format!("{}: actual {:#018x}", report.id, h.0));
+            moved.push(format!(
+                "{} at threads = {threads}: actual {:#018x}",
+                report.id, h.0
+            ));
         }
     }
+    moved
+}
+
+#[test]
+fn rendered_ctmc_reports() {
+    // E1–E6 and E9: the sweeps and the exact CTMC runs.
+    let moved = moved_reports(&[0, 1, 2, 3, 4, 5, 8], 2);
+    assert!(moved.is_empty(), "rendered reports moved: {moved:?}");
+}
+
+#[test]
+fn rendered_demo_reports() {
+    // E7, E8 and E10–E12: the agent, coded and analytic reports.
+    let moved = moved_reports(&[6, 7, 9, 10, 11], 2);
+    assert!(moved.is_empty(), "rendered reports moved: {moved:?}");
+}
+
+#[test]
+fn demo_reports_do_not_depend_on_the_thread_count() {
+    // E4, E7, E8, E9 and E12 run their independent demo trajectories on
+    // `threads` workers; each report has one digest at any worker count.
+    let moved: Vec<String> = [1, 2, 8]
+        .into_iter()
+        .flat_map(|threads| moved_reports(&[3, 6, 7, 8, 11], threads))
+        .collect();
     assert!(moved.is_empty(), "rendered reports moved: {moved:?}");
 }
