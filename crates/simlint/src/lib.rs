@@ -113,9 +113,9 @@ pub fn lint_sources(sources: &[(String, String)]) -> Vec<Diagnostic> {
 ///
 /// The source set is `src/**`, `crates/*/src/**` (linted), plus
 /// `crates/*/tests/**` (never linted, but available as cross-file audit
-/// targets). `shims/`, `examples/`, `benches/`, and root `tests/` are
-/// excluded: shims are inert vendored stand-ins and the rest is test or
-/// demo code by construction.
+/// targets). `shims/`, `examples/`, and root `tests/` are excluded: shims
+/// are inert vendored stand-ins and the rest is test or demo code by
+/// construction.
 ///
 /// # Errors
 ///

@@ -110,7 +110,7 @@ struct Scope {
 
 /// Whether per-file rules run on `path` at all, and under which scope.
 ///
-/// Linted: `src/**` and `crates/*/src/**`. Everything else (tests, benches,
+/// Linted: `src/**` and `crates/*/src/**`. Everything else (tests,
 /// examples, fixtures, shims) is either test code or reference material.
 #[must_use]
 pub fn is_linted(path: &str) -> bool {

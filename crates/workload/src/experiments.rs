@@ -2,9 +2,9 @@
 //! `EXPERIMENTS.md`).
 //!
 //! Every function returns an [`ExperimentReport`] containing plain-text
-//! tables; the bench targets in `crates/bench` print them, and the
-//! integration tests assert their qualitative content (who wins, where the
-//! crossover falls) against the paper's predictions.
+//! tables; `run_experiments` prints them, and the integration tests assert
+//! their qualitative content (who wins, where the crossover falls) against
+//! the paper's predictions.
 //!
 //! An experiment first computes its runs, then renders them. Sweeps go
 //! through the engine's `Session`; independent demo trajectories go through

@@ -578,6 +578,11 @@ impl ScenarioSpec {
             spec.watch_piece = n;
         }
         if let Some(x) = get_rate(&doc, "horizon")? {
+            if !(x.is_finite() && x > 0.0) {
+                return Err(SpecError::Parse(format!(
+                    "`horizon` {x} must be positive and finite"
+                )));
+            }
             spec.horizon = x;
         }
         if let Some(x) = get_rate(&doc, "snapshot_interval")? {
@@ -1007,7 +1012,8 @@ impl Registry {
 /// Execution budget of a registry scenario run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioRunOptions {
-    /// Replications, combined by majority vote.
+    /// Replications, combined by majority vote (0 runs one: the engine
+    /// clamps the count to at least 1).
     pub replications: u32,
     /// Worker threads (0 = one per core); never changes the numbers.
     pub jobs: usize,
@@ -1074,7 +1080,8 @@ pub struct ScenarioRunReport {
     pub outcome: AgentOutcome,
     /// The horizon actually used.
     pub horizon: f64,
-    /// The replication count used.
+    /// The replication count the session ran (`options.replications`
+    /// clamped to at least 1).
     pub replications: u32,
     /// Every quarantined replication, in stream-key order (empty under
     /// `FailFast`, which aborts instead).
@@ -1160,7 +1167,8 @@ impl ScenarioRunReport {
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] if the spec fails to compile or the engine
+/// Returns a [`SpecError`] if the spec fails to compile, the horizon (the
+/// override or the spec's own) is not finite and positive, or the engine
 /// rejects the compiled scenario.
 pub fn run(
     spec: &ScenarioSpec,
@@ -1177,7 +1185,8 @@ pub fn run(
 ///
 /// # Errors
 ///
-/// Returns a [`SpecError`] if the spec fails to compile or the engine
+/// Returns a [`SpecError`] if the spec fails to compile, the horizon (the
+/// override or the spec's own) is not finite and positive, or the engine
 /// rejects the compiled scenario.
 pub fn run_with_sink<S: ReplicationSink + Send>(
     spec: &ScenarioSpec,
@@ -1198,6 +1207,11 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
     }
     let scenario = spec.compile(0)?;
     let horizon = options.horizon_override.unwrap_or(spec.horizon);
+    if !(horizon.is_finite() && horizon > 0.0) {
+        return Err(SpecError::Invalid(format!(
+            "horizon {horizon} must be positive and finite"
+        )));
+    }
     let config = EngineConfig::default()
         .with_replications(options.replications)
         .with_horizon(horizon)
@@ -1206,6 +1220,7 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
         .with_progress(options.progress)
         .with_metrics(options.metrics)
         .with_failure_policy(options.failure_policy);
+    let replications = config.replications;
     let mut builder = Session::builder()
         .config(config)
         .workload(Workload::agent(vec![scenario]));
@@ -1230,7 +1245,7 @@ pub fn run_with_sink<S: ReplicationSink + Send>(
         spec,
         outcome: outcomes.into_iter().next().expect("one scenario in"),
         horizon,
-        replications: options.replications,
+        replications,
         failures,
     })
 }
@@ -1481,5 +1496,54 @@ mod tests {
         let b = run(spec, &ScenarioRunOptions { jobs: 4, ..options }).unwrap();
         assert_eq!(a.outcome, b.outcome, "jobs never change the numbers");
         assert_eq!(a.render(), b.render());
+    }
+
+    #[test]
+    fn zero_replications_report_the_one_replication_that_ran() {
+        let registry = Registry::builtin();
+        let spec = registry.get("flash-crowd").unwrap();
+        let options = ScenarioRunOptions {
+            replications: 0,
+            jobs: 1,
+            seed: 42,
+            horizon_override: Some(30.0),
+            ..Default::default()
+        };
+        let report = run(spec, &options).unwrap();
+        assert_eq!(report.outcome.votes.total(), 1, "the engine ran one");
+        assert_eq!(report.replications, 1, "and the report says so");
+        assert!(report.render().contains("1 replications"));
+    }
+
+    #[test]
+    fn zero_or_infinite_horizons_are_errors_not_panics() {
+        let doc = |horizon: &str| {
+            format!(
+                r#"{{"name":"x","num_pieces":2,"horizon":{horizon},
+                    "arrivals":[{{"pieces":"empty","rate":1}}]}}"#
+            )
+        };
+        assert!(ScenarioSpec::from_json(&doc("5")).is_ok());
+        for bad in ["0", r#""inf""#] {
+            let err = ScenarioSpec::from_json(&doc(bad)).unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Parse(m) if m.contains("horizon")),
+                "{bad}: {err}"
+            );
+        }
+        let spec = ScenarioSpec::from_json(&doc("5")).unwrap();
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let options = ScenarioRunOptions {
+                replications: 1,
+                jobs: 1,
+                horizon_override: Some(bad),
+                ..Default::default()
+            };
+            let err = run(&spec, &options).unwrap_err();
+            assert!(
+                matches!(&err, SpecError::Invalid(m) if m.contains("horizon")),
+                "{bad}: {err}"
+            );
+        }
     }
 }

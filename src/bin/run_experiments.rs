@@ -245,9 +245,15 @@ fn parse_cli() -> Result<Cli, CliError> {
         match arg.as_str() {
             "quick" => {}
             "--replications" => {
-                config.replications = value_of("--replications")?
+                let n: u32 = value_of("--replications")?
                     .parse()
                     .map_err(|e| format!("--replications: {e}"))?;
+                if n == 0 {
+                    return Err(CliError::Invalid(
+                        "--replications: must be at least 1".into(),
+                    ));
+                }
+                config.replications = n;
             }
             "--jobs" => {
                 config.threads = value_of("--jobs")?
@@ -262,9 +268,9 @@ fn parse_cli() -> Result<Cli, CliError> {
                 let horizon: f64 = value_of("--horizon")?
                     .parse()
                     .map_err(|e| format!("--horizon: {e}"))?;
-                if horizon.is_nan() || horizon <= 0.0 {
+                if !(horizon.is_finite() && horizon > 0.0) {
                     return Err(CliError::Invalid(format!(
-                        "--horizon: must be positive, got {horizon}"
+                        "--horizon: must be a finite positive time, got {horizon}"
                     )));
                 }
                 config.horizon = horizon;
